@@ -36,7 +36,7 @@ func forceCycle(chunk uint64) func(pp.HybridStats) pp.HybridMode {
 // unconfigured, so the same fixture serves the agent reference.
 func pinCycle[S comparable](chunk uint64) func(sim pp.Runner[S], seed uint64) {
 	return func(sim pp.Runner[S], _ uint64) {
-		h, ok := sim.(*pp.HybridSimulator[S])
+		h, ok := sim.(*pp.CensusSimulator[S])
 		if !ok {
 			return
 		}
@@ -181,11 +181,11 @@ func TestHybridHandoverDeterminism(t *testing.T) {
 	const n = 4096
 	const seed = 42
 	proto := core.NewForN(n)
-	mk := func() *pp.HybridSimulator[core.State] {
+	mk := func() *pp.CensusSimulator[core.State] {
 		return pp.NewHybridSimulator[core.State](proto, n, seed)
 	}
 	a, b := mk(), mk()
-	var clone *pp.HybridSimulator[core.State]
+	var clone *pp.CensusSimulator[core.State]
 	chunk := uint64(n / 2)
 	for i := 0; i < 200; i++ {
 		a.RunSteps(chunk)

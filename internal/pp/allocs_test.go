@@ -32,6 +32,21 @@ func TestBatchRoundAllocFree(t *testing.T) {
 	}
 }
 
+// TestCountAllocFree pins the count policy's hot path — per-interaction
+// sampling and skipping through the shared dense transition memo — once
+// the memo and the state table are warm.
+func TestCountAllocFree(t *testing.T) {
+	const n = 1 << 16
+	sim := pp.NewCountSimulator[tickerState](tickerDuel{}, n, 31)
+	avg := steadyStateAllocs(
+		func() { sim.RunSteps(8 * n) },
+		func() { sim.RunSteps(n) },
+	)
+	if avg > 0.5 {
+		t.Fatalf("count hot path allocates: %.2f allocs per RunSteps(n)", avg)
+	}
+}
+
 func TestHybridModesAllocFree(t *testing.T) {
 	const n = 1 << 16
 	for _, mode := range []pp.HybridMode{pp.ModeRound, pp.ModeInteract, pp.ModeSkip} {

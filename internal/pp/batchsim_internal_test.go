@@ -116,7 +116,7 @@ func TestEnsureFenRebuild(t *testing.T) {
 	// A trailing short fallback advance may already have rebuilt the table;
 	// ensureFen must leave a coherent table either way.
 	b.ensureFen()
-	cs := &b.cs
+	cs := b
 	var prefix int64
 	for i := range cs.counts {
 		if got := cs.fenPrefix(i + 1); got != prefix+cs.counts[i] {
@@ -176,7 +176,7 @@ func (wideProto) Transition(a, b int) (int, int) { return a + 1, b }
 // through the census engine's map memo without growing the dense matrix.
 func TestOutcomeMapFallback(t *testing.T) {
 	b := NewBatchSimulator[int](wideProto{}, 100, 3)
-	cs := &b.cs
+	cs := b
 	for s := 1; s <= batchDenseStatesHardMax+8; s++ {
 		cs.stateIndex(s)
 	}
@@ -202,7 +202,7 @@ func TestOutcomeMapFallback(t *testing.T) {
 // the hard cap.
 func TestDenseGrowthGate(t *testing.T) {
 	b := NewBatchSimulator[int](wideProto{}, 100_000, 3)
-	cs := &b.cs
+	cs := b
 	// counts > 0 for far more states than maxLiveForRounds: wide support.
 	for s := 1; s <= batchDenseStatesMax+8; s++ {
 		cs.add(cs.stateIndex(s), 1)

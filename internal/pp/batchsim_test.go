@@ -47,7 +47,7 @@ func (tickerDuel) Transition(a, b tickerState) (tickerState, tickerState) {
 // forcedBatch constructs a batch simulator with collision-free rounds
 // forced on for any population and live support, so the tests exercise the
 // round machinery even at test-scale n.
-func forcedBatch[S comparable](proto pp.Protocol[S], n int, seed uint64) *pp.BatchSimulator[S] {
+func forcedBatch[S comparable](proto pp.Protocol[S], n int, seed uint64) *pp.CensusSimulator[S] {
 	sim := pp.NewBatchSimulator(proto, n, seed)
 	sim.TuneRounds(2, 1<<30)
 	return sim
@@ -55,7 +55,7 @@ func forcedBatch[S comparable](proto pp.Protocol[S], n int, seed uint64) *pp.Bat
 
 // checkCensusCoherent asserts the batch simulator's counters agree with
 // its own census after any mix of aggregate rounds and fallback paths.
-func checkCensusCoherent[S comparable](t *testing.T, sim *pp.BatchSimulator[S], proto pp.Protocol[S], n int) {
+func checkCensusCoherent[S comparable](t *testing.T, sim *pp.CensusSimulator[S], proto pp.Protocol[S], n int) {
 	t.Helper()
 	census := sim.Census()
 	total, leaders := 0, 0

@@ -62,7 +62,7 @@ func (r *reactiveIndex) invalidate() {
 // ridxGrow extends the per-state arrays to cover states registered since
 // the last growth (probing outcomes during maintenance can itself
 // register new states).
-func (c *CountSimulator[S]) ridxGrow() {
+func (c *CensusSimulator[S]) ridxGrow() {
 	r := &c.ridx
 	for len(r.member) < len(c.states) {
 		r.member = append(r.member, false)
@@ -82,7 +82,7 @@ func (c *CountSimulator[S]) ridxGrow() {
 // (a lone leader walking through timer states, a BackUp level draining
 // and refilling) is pure arithmetic instead of a membership insertion.
 // The caller guarantees len(states) ≤ ridxMembersMax.
-func (c *CountSimulator[S]) ridxRebuild() {
+func (c *CensusSimulator[S]) ridxRebuild() {
 	r := &c.ridx
 	for _, s := range r.members {
 		r.member[s] = false
@@ -105,8 +105,7 @@ func (c *CountSimulator[S]) ridxRebuild() {
 	for _, i := range r.members {
 		ci := c.counts[i]
 		for _, j := range r.members {
-			out := c.outcome(int(i), int(j))
-			if out.i2 == i && out.j2 == j {
+			if i2, j2 := c.outcome(i, j); i2 == i && j2 == j {
 				continue
 			}
 			r.rows[i] = append(r.rows[i], j)
@@ -133,7 +132,7 @@ func (c *CountSimulator[S]) ridxRebuild() {
 // at the round boundary. The grant covers a handful of row scans: enough
 // for the sparse rounds the skipper cares about, nothing for
 // reaction-dense rounds where the index would be rebuilt cheaper later.
-func (c *CountSimulator[S]) ridxMeter() {
+func (c *CensusSimulator[S]) ridxMeter() {
 	if !c.ridx.valid {
 		return
 	}
@@ -141,12 +140,12 @@ func (c *CountSimulator[S]) ridxMeter() {
 	c.ridx.budget = int64(16*c.live + 256)
 }
 
-func (c *CountSimulator[S]) ridxUnmeter() { c.ridx.metered = false }
+func (c *CensusSimulator[S]) ridxUnmeter() { c.ridx.metered = false }
 
 // ridxUpdate folds one count change (state index i, old → cnew) into the
 // index. It runs before the census mutation, so counts[i] still reads
 // old and all other counts are current. Cost: O(|rows[i]| + |cols[i]|).
-func (c *CountSimulator[S]) ridxUpdate(i int, old, cnew int64) {
+func (c *CensusSimulator[S]) ridxUpdate(i int, old, cnew int64) {
 	r := &c.ridx
 	if i >= len(r.member) || !r.member[i] {
 		// First agent ever to enter a state the index has not probed: by
@@ -193,7 +192,7 @@ func (c *CountSimulator[S]) ridxUpdate(i int, old, cnew int64) {
 // so counts[s] == 0: every pair involving s has zero weight, wc is
 // untouched, and only the sums over *other* members' counts are built.
 // Reports false after invalidating when membership hit the cap.
-func (c *CountSimulator[S]) ridxAddMember(s int) bool {
+func (c *CensusSimulator[S]) ridxAddMember(s int) bool {
 	r := &c.ridx
 	if len(r.members) >= ridxMembersMax {
 		r.invalidate()
@@ -218,19 +217,19 @@ func (c *CountSimulator[S]) ridxAddMember(s int) bool {
 	r.colSum[s] = 0
 	for _, m := range r.members {
 		if m == si {
-			if out := c.outcome(s, s); out.i2 != si || out.j2 != si {
+			if i2, j2 := c.outcome(si, si); i2 != si || j2 != si {
 				r.diag[s] = true
 				r.rows[s] = insertSorted(r.rows[s], si)
 				r.rowSum[s]-- // cₛ − 1 with cₛ = 0
 			}
 			continue
 		}
-		if out := c.outcome(s, int(m)); out.i2 != si || out.j2 != m {
+		if i2, j2 := c.outcome(si, m); i2 != si || j2 != m {
 			r.rows[s] = insertSorted(r.rows[s], m)
 			r.rowSum[s] += c.counts[m]
 			r.cols[m] = insertSorted(r.cols[m], si)
 		}
-		if out := c.outcome(int(m), s); out.i2 != m || out.j2 != si {
+		if i2, j2 := c.outcome(m, si); i2 != m || j2 != si {
 			r.rows[m] = insertSorted(r.rows[m], si)
 			r.cols[s] = insertSorted(r.cols[s], m)
 			r.colSum[s] += c.counts[m]
@@ -246,7 +245,7 @@ func (c *CountSimulator[S]) ridxAddMember(s int) bool {
 // count-zero states contribute zero width, so the layout is positionally
 // identical to collectReactivePairs' lexicographic enumeration over live
 // states — the same target selects the same pair on either path.
-func (c *CountSimulator[S]) ridxSamplePair(target uint64) (int, int) {
+func (c *CensusSimulator[S]) ridxSamplePair(target uint64) (int, int) {
 	r := &c.ridx
 	for _, i := range r.members {
 		ci := c.counts[i]
@@ -296,7 +295,7 @@ func insertSorted(s []int32, v int32) []int32 {
 // mode controller — never observe which path ran: decisions remain
 // deterministic functions of chain history even across Clone, which
 // drops the index.
-func (c *CountSimulator[S]) reactiveWeight() uint64 {
+func (c *CensusSimulator[S]) reactiveWeight() uint64 {
 	if c.ridx.valid {
 		return c.ridx.wc
 	}
@@ -310,7 +309,7 @@ func (c *CountSimulator[S]) reactiveWeight() uint64 {
 // samplePair maps target ∈ [0, wc) — wc as returned by the immediately
 // preceding reactiveWeight call on the same census — to its reactive
 // ordered pair.
-func (c *CountSimulator[S]) samplePair(target uint64) (int, int) {
+func (c *CensusSimulator[S]) samplePair(target uint64) (int, int) {
 	if c.ridx.valid {
 		return c.ridxSamplePair(target)
 	}

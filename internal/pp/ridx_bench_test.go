@@ -23,7 +23,7 @@ func (p idxBenchProto) Transition(a, b int) (int, int) {
 
 // benchCensus builds a census with exactly live occupied states of equal
 // multiplicity, with every state pre-registered in the dense table.
-func benchCensus(live int) *CountSimulator[int] {
+func benchCensus(live int) *CensusSimulator[int] {
 	const perState = 64
 	c := NewCountSimulator[int](idxBenchProto{k: live}, live*perState, 7)
 	for s := 1; s < live; s++ {

@@ -44,7 +44,7 @@ func (mixProto) Transition(a, b mixState) (mixState, mixState) {
 // and the same pair selected for any sampling target. collectReactivePairs
 // only fills the scratch buffers — it never touches the index — so it is a
 // sound reference.
-func checkReactiveIndex[S comparable](t *testing.T, c *CountSimulator[S]) {
+func checkReactiveIndex[S comparable](t *testing.T, c *CensusSimulator[S]) {
 	t.Helper()
 	if !c.ridx.valid {
 		t.Fatal("reactive-pair index invalid mid-check")
@@ -127,12 +127,12 @@ func TestReactiveIndexEquivalence(t *testing.T) {
 			}
 		}
 
-		// Geometric skip path: advanceBatched prices the event off the
+		// Geometric skip path: skip prices the event off the
 		// index's wc and samples via the two-level walk.
-		c.batched = true
+		c.mode = ModeSkip
 		for ev := 0; ev < 300; ev++ {
-			c.advanceBatched(c.steps + 1<<20)
-			c.batched = true // pin the path regardless of exit decisions
+			c.skip(c.steps + 1<<20)
+			c.mode = ModeSkip // pin the path regardless of exit decisions
 			checkReactiveIndex(t, c)
 		}
 
@@ -160,13 +160,13 @@ func TestReactiveIndexEquivalence(t *testing.T) {
 func TestReactiveIndexBatchRounds(t *testing.T) {
 	for _, seed := range []uint64{5, 29} {
 		b := NewBatchSimulator[mixState](mixProto{}, 4096, seed)
-		b.cs.reactiveWeight()
+		b.reactiveWeight()
 		for chunk := 0; chunk < 120; chunk++ {
 			b.RunSteps(512)
-			if !b.cs.ridx.valid {
-				b.cs.ridxRebuild()
+			if !b.ridx.valid {
+				b.ridxRebuild()
 			}
-			checkReactiveIndex(t, &b.cs)
+			checkReactiveIndex(t, b)
 		}
 	}
 }

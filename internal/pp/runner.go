@@ -6,8 +6,8 @@ import (
 )
 
 // Runner is the observable surface shared by the simulation engines: the
-// per-agent Simulator, the census-based CountSimulator, the round-based
-// BatchSimulator and the phase-adaptive HybridSimulator. Experiments,
+// per-agent Simulator and the CensusSimulator that runs the three census
+// engines (count, batch, hybrid) as mode policies. Experiments,
 // commands and benchmarks program against this interface so the engine is a
 // runtime choice (see Engine); everything a protocol's *observable* behavior
 // defines — step counts, parallel time, leader census, stabilization,
@@ -64,34 +64,28 @@ const (
 	// one sampled interaction per step. Memory Θ(n); supports agent-indexed
 	// operations and deterministic schedules.
 	EngineAgent Engine = iota
-	// EngineCount is the census engine (CountSimulator): one count per
-	// distinct state, batched skipping of census-preserving interactions.
-	// Memory Θ(states ever observed) — tiny for small-state-space
-	// protocols (PLL, Angluin, Lottery: polylog(n) states), and the only
-	// engine practical for them at n ≳ 10⁷. For protocols whose agents
-	// carry poly(n) distinct values (MaxID) the observed-state table grows
-	// toward Θ(n) and the per-agent engine is the better choice.
+	// The remaining three engines are named mode policies of one
+	// CensusSimulator: one count per distinct state (memory Θ(states ever
+	// observed) — tiny for small-state-space protocols such as PLL, Angluin
+	// and Lottery, and the only practical representation for them at
+	// n ≳ 10⁷), one transition memo, and three execution modes (see
+	// HybridMode). Every mode samples the exact uniform-scheduler chain, so
+	// the policies differ only in wall-clock cost, and each reproduces its
+	// engine's chain bit for bit under a fixed seed. Protocols whose agents
+	// carry poly(n) distinct values (MaxID) belong on EngineAgent.
+	//
+	// EngineCount interacts and skips: per-interaction sampling, and
+	// geometric skipping of census-preserving runs once no-ops dominate.
 	EngineCount
-	// EngineBatch is the collision-free round engine (BatchSimulator): the
-	// census representation of EngineCount plus aggregate simulation of
-	// Θ(√n) interactions per round via birthday-law round lengths and
-	// hypergeometric slot assignment, making per-interaction cost
-	// sub-constant in reaction-dense phases. It falls back to the census
-	// engine's per-interaction and geometric no-op paths where rounds do
-	// not pay, so it is the fastest choice for small-state-space protocols
-	// at large n (PLL, Angluin, Lottery from n ≈ 10⁶ up).
+	// EngineBatch adds collision-free rounds of Θ(√n) interactions wherever
+	// the census is concentrated enough for aggregate draws to amortize,
+	// falling back to the count policy elsewhere — the fastest fixed
+	// policy for small-state-space protocols at large n.
 	EngineBatch
-	// EngineHybrid is the phase-adaptive engine (HybridSimulator): the
-	// batch engine's round machinery plus the census engine's
-	// per-interaction and geometric no-op paths, driven by an explicit
-	// mode controller that measures census concentration and realized
-	// per-phase payoff online (distinct live states, reactive-pair mass,
-	// realized round length versus geometric skip length) and hands the
-	// census over between modes at interaction boundaries. Handover
-	// carries only the census multiset and the rng stream position — both
-	// engine-agnostic — so every mix of modes samples the exact
-	// uniform-scheduler chain. The best default for full O(log n)-time
-	// elections at large n, whose phase structure no single mode wins.
+	// EngineHybrid hands the census between the three modes on measured
+	// payoff (live support, reactive-pair mass, realized round versus skip
+	// length). The best default for full O(log n)-time elections at large
+	// n, whose phase structure no single mode wins.
 	EngineHybrid
 )
 
@@ -183,12 +177,8 @@ func EngineChoices() []string {
 // distributions agree (see the engine-equivalence tests).
 func NewRunner[S comparable](engine Engine, proto Protocol[S], n int, seed uint64) Runner[S] {
 	switch engine {
-	case EngineCount:
-		return NewCountSimulator(proto, n, seed)
-	case EngineBatch:
-		return NewBatchSimulator(proto, n, seed)
-	case EngineHybrid:
-		return NewHybridSimulator(proto, n, seed)
+	case EngineCount, EngineBatch, EngineHybrid:
+		return newCensus(engine, proto, n, seed)
 	case EngineAuto:
 		// "auto" is resolved by the registry (per protocol and n) before
 		// construction; reaching here is a programmer error, not a spec the
@@ -202,7 +192,5 @@ func NewRunner[S comparable](engine Engine, proto Protocol[S], n int, seed uint6
 // All engines implement Runner.
 var (
 	_ Runner[bool] = (*Simulator[bool])(nil)
-	_ Runner[bool] = (*CountSimulator[bool])(nil)
-	_ Runner[bool] = (*BatchSimulator[bool])(nil)
-	_ Runner[bool] = (*HybridSimulator[bool])(nil)
+	_ Runner[bool] = (*CensusSimulator[bool])(nil)
 )

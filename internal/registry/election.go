@@ -106,10 +106,12 @@ func (e *election[S]) Census() map[string]int {
 func (e *election[S]) LiveStates() int { return len(e.run.Census()) }
 
 func (e *election[S]) HybridStats() (pp.HybridStats, bool) {
-	if s, ok := e.run.(interface{ Stats() pp.HybridStats }); ok {
-		return s.Stats(), true
+	// Every census engine carries the controller, but only the hybrid
+	// engine's results report its telemetry.
+	if e.engine != pp.EngineHybrid {
+		return pp.HybridStats{}, false
 	}
-	return pp.HybridStats{}, false
+	return e.run.(*pp.CensusSimulator[S]).Stats(), true
 }
 
 func (e *election[S]) LeaderID() int {

@@ -221,3 +221,23 @@ func TestEngineSuitability(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridStatsOnlyForHybrid: every census engine runs on the same
+// controller, but only hybrid results carry its telemetry, so job results,
+// /metrics and benchmark layers keep their per-engine shape.
+func TestHybridStatsOnlyForHybrid(t *testing.T) {
+	for _, engine := range pp.Engines() {
+		el, err := registry.New(registry.Spec{Protocol: "pll", N: 300, Engine: engine, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		el.RunSteps(3000)
+		st, ok := el.HybridStats()
+		if want := engine == pp.EngineHybrid; ok != want {
+			t.Errorf("%s: HybridStats ok = %v, want %v", engine, ok, want)
+		}
+		if ok && st.Steps != el.Steps() {
+			t.Errorf("%s: HybridStats.Steps = %d, election at %d", engine, st.Steps, el.Steps())
+		}
+	}
+}

@@ -103,6 +103,14 @@ func TestMetricsScrape(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// A run is marked done before its result's group commit completes,
+	// so wait for all three results to be durable before scraping.
+	for m.Stats().Stored < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("store holds %d results, want 3", m.Stats().Stored)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	r := httptest.NewRequest("GET", "/metrics", nil)
 	w := httptest.NewRecorder()

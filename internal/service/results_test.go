@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"popproto/internal/ensemble"
 	"popproto/internal/pp"
@@ -76,6 +77,14 @@ func TestResultsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSweepDone(t, sw)
+	// A run's result is persisted after the run is marked done, so wait
+	// for all seven records (1 job, 3 experiments, 2 sweep cells, 1
+	// sweep) to be durable before querying.
+	for deadline := time.Now().Add(60 * time.Second); st.Len() < 7; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("store holds %d records, want 7", st.Len())
+		}
+	}
 
 	// The unfiltered page must serve exactly the store's current
 	// contents, keyed by id.
