@@ -9,7 +9,8 @@
 //	experiments [-quick] [-seed N] [-engine agent|count|batch|hybrid|auto] [-replicates R] [-ci X] [-out FILE] [ids...]
 //
 // With no ids, every experiment runs in registry order. -replicates and
-// -ci tune the ensemble-executed experiments (Table 1/2, Theorem 1):
+// -ci tune the cells that measure a plain registry spec (Table 1/2,
+// Theorem 1, the symmetric comparison and the ablation's m sweep):
 // -replicates overrides the per-cell ensemble size, and -ci stops each
 // ensemble early once the relative 95% CI half-width of the mean
 // stabilization time drops to the target.
@@ -45,7 +46,7 @@ func run(args []string) error {
 	// added.
 	engine := cliflags.Engine(fs, "agent", "simulation engine for election sweeps")
 	replicates := cliflags.Replicates(fs, 0,
-		"override the replicate count per ensemble cell in Table 1/2 and Theorem 1 (0 = experiment defaults)")
+		"override the replicate count per ensemble cell in Table 1/2, Theorem 1, symmetric and the ablation m sweep (0 = experiment defaults)")
 	ci := cliflags.CI(fs)
 	out := fs.String("out", "", "also write the combined report to this file")
 	if err := fs.Parse(args); err != nil {

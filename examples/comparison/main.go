@@ -5,14 +5,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"popproto/internal/ensemble"
 	"popproto/internal/pp"
 	"popproto/internal/registry"
-	"popproto/internal/stats"
 	"popproto/internal/table"
 )
 
@@ -67,17 +68,15 @@ func main() {
 }
 
 func meanTime(protocol string, n int) float64 {
-	results, err := registry.Measure(registry.Spec{Protocol: protocol, N: n, Engine: engine, Seed: 7},
-		repetitions, 0, 0)
+	res, err := ensemble.Run(context.Background(), ensemble.Spec{
+		Registry:   registry.Spec{Protocol: protocol, N: n, Engine: engine, Seed: 7},
+		Replicates: repetitions,
+	}, ensemble.Options{})
 	if err != nil {
 		panic(err)
 	}
-	times := make([]float64, len(results))
-	for i, r := range results {
-		if !r.Stabilized {
-			panic(fmt.Sprintf("%s did not stabilize at n=%d", protocol, n))
-		}
-		times[i] = r.ParallelTime
+	if agg := res.Aggregates; agg.Stabilized < agg.Replicates {
+		panic(fmt.Sprintf("%s did not stabilize at n=%d", protocol, n))
 	}
-	return stats.Mean(times)
+	return res.Aggregates.MeanParallelTime
 }

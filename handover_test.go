@@ -85,7 +85,7 @@ func crossingFixture[S comparable](
 			}
 			out := make([]float64, reps)
 			failed := make([]bool, reps)
-			pp.Parallel(reps, 0, seed, func(rep int, repSeed uint64) {
+			pptest.Parallel(reps, 0, seed, func(rep int, repSeed uint64) {
 				pilot := pp.NewRunner(pp.EngineAgent, proto, n, repSeed)
 				c, piloted := pilot.RunUntilLeaders(1, budget)
 				h := pp.NewHybridSimulator(proto, n, repSeed)

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"popproto/internal/pp"
+	"popproto/internal/pp/pptest"
 )
 
 func TestAngluinTransitionTable(t *testing.T) {
@@ -51,12 +52,17 @@ func TestAngluinStabilizes(t *testing.T) {
 // reject sublinear behaviour while tolerating run-to-run noise.
 func TestAngluinLinearTimeShape(t *testing.T) {
 	mean := func(n int) float64 {
-		res := pp.MeasureStabilization[AngluinState](Angluin{}, n, 30, 7, uint64(n)*uint64(n)*50, 0)
+		times := make([]float64, 30)
+		pptest.Parallel(len(times), 0, 7, func(rep int, seed uint64) {
+			sim := pp.NewSimulator[AngluinState](Angluin{}, n, seed)
+			steps, _ := sim.RunUntilLeaders(1, uint64(n)*uint64(n)*50)
+			times[rep] = float64(steps) / float64(n)
+		})
 		var sum float64
-		for _, r := range res {
-			sum += r.ParallelTime
+		for _, x := range times {
+			sum += x
 		}
-		return sum / float64(len(res))
+		return sum / float64(len(times))
 	}
 	t128, t256, t512 := mean(128), mean(256), mean(512)
 	if t256/t128 < 1.4 || t512/t256 < 1.4 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"popproto/internal/pp"
+	"popproto/internal/pp/pptest"
 	"popproto/internal/stats"
 )
 
@@ -32,14 +33,17 @@ func TestAngluinExpectedStepsClosedForm(t *testing.T) {
 func TestEngineMatchesExactExpectation(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
 		const repCount = 400
-		results := pp.MeasureStabilization[AngluinState](Angluin{}, n, repCount, 99,
-			uint64(n)*uint64(n)*1000, 0)
 		steps := make([]float64, repCount)
-		for i, r := range results {
-			if !r.Stabilized {
+		stabilized := make([]bool, repCount)
+		pptest.Parallel(repCount, 0, 99, func(rep int, seed uint64) {
+			sim := pp.NewSimulator[AngluinState](Angluin{}, n, seed)
+			s, ok := sim.RunUntilLeaders(1, uint64(n)*uint64(n)*1000)
+			steps[rep], stabilized[rep] = float64(s), ok
+		})
+		for i, ok := range stabilized {
+			if !ok {
 				t.Fatalf("n=%d rep %d did not stabilize", n, i)
 			}
-			steps[i] = float64(r.Steps)
 		}
 		s := stats.Summarize(steps)
 		exact := (Angluin{}).ExpectedSteps(n)

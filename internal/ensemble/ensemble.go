@@ -9,8 +9,12 @@
 // The paper's headline claims are distributional — O(log n) *expected*
 // stabilization time, Table 1/2 statistics over many runs — so the unit
 // of reproduction is an ensemble, not a single election. This package is
-// the one replication engine behind the harness's paper tables, the
-// leaderelect -replicates flag, and the popprotod /v1/experiments API.
+// the one replication engine behind every experiment of the harness, the
+// examples, the leaderelect -replicates flag, sweeps, cluster leases and
+// the popprotod /v1/experiments API: registry-spec ensembles run through
+// Run, RunRange and RunRanges, and experiments that instrument each run
+// beyond what a registry election reports fan out through Dispatch, the
+// same worker pool with the same seeds and the same in-order fold.
 //
 // Determinism is a first-class contract, at two levels:
 //
@@ -207,27 +211,25 @@ type Result struct {
 	Aggregates Aggregates
 }
 
-// replicateMsg carries one worker result to the aggregator.
-type replicateMsg struct {
-	rep Replicate
-	err error
-}
-
-// dispatch fans replicates [lo, hi) of a canonical spec across a
-// bounded worker pool and feeds results to incorporate strictly in
-// replicate order (a reorder buffer smooths out-of-order completions).
+// Dispatch is the replicate executor: it fans replicates [lo, hi)
+// across a bounded worker pool (workers <= 0 selects NumCPU), runs
+// replicate rep as run(ctx, rep, ReplicateSeed(base, rep)), and hands
+// each result to incorporate on the caller's goroutine strictly in
+// replicate order (a reorder buffer smooths out-of-order completions),
+// so whatever incorporate folds is the same for any worker count.
 // incorporate returning true stops dispatch; remaining in-flight
 // replicates are drained, not incorporated. Replicates interrupted by
 // cancellation (external or a stop) are dropped silently — the caller
 // decides from ctx and its own counts how to report a shortfall; any
-// other worker error cancels the dispatch and is returned.
-func dispatch(ctx context.Context, entry registry.Entry, spec Spec, lo, hi, workers int, incorporate func(Replicate) (stop bool)) error {
+// other run error cancels the dispatch and is returned.
+func Dispatch[T any](ctx context.Context, base uint64, lo, hi, workers int,
+	run func(ctx context.Context, rep int, seed uint64) (T, error),
+	incorporate func(T) (stop bool),
+) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > hi-lo {
-		workers = hi - lo
-	}
+	workers = min(workers, hi-lo)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -246,17 +248,22 @@ func dispatch(ctx context.Context, entry registry.Entry, spec Spec, lo, hi, work
 		}
 	}()
 
-	results := make(chan replicateMsg, workers)
+	type result struct {
+		rep int
+		val T
+		err error
+	}
+	results := make(chan result, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for rep := range reps {
-				r, err := runReplicate(runCtx, entry, spec, rep)
+				v, err := run(runCtx, rep, ReplicateSeed(base, rep))
 				// The dispatcher drains results until every worker has
 				// exited, so this send cannot block indefinitely.
-				results <- replicateMsg{rep: r, err: err}
+				results <- result{rep: rep, val: v, err: err}
 			}
 		}()
 	}
@@ -265,7 +272,7 @@ func dispatch(ctx context.Context, entry registry.Entry, spec Spec, lo, hi, work
 		close(results)
 	}()
 
-	pending := make(map[int]Replicate, workers)
+	pending := make(map[int]T, workers)
 	next := lo
 	stopped := false
 	var firstErr error
@@ -277,9 +284,9 @@ func dispatch(ctx context.Context, entry registry.Entry, spec Spec, lo, hi, work
 			}
 			continue
 		}
-		pending[msg.rep.Rep] = msg.rep
+		pending[msg.rep] = msg.val
 		for {
-			r, ok := pending[next]
+			v, ok := pending[next]
 			if !ok {
 				break
 			}
@@ -288,13 +295,22 @@ func dispatch(ctx context.Context, entry registry.Entry, spec Spec, lo, hi, work
 			if stopped || firstErr != nil {
 				continue // drained, not incorporated
 			}
-			if incorporate(r) {
+			if incorporate(v) {
 				stopped = true
 				cancel()
 			}
 		}
 	}
 	return firstErr
+}
+
+// replicates dispatches replicates [lo, hi) of a canonical spec through
+// runReplicate.
+func replicates(ctx context.Context, entry registry.Entry, spec Spec, lo, hi, workers int, incorporate func(Replicate) bool) error {
+	return Dispatch(ctx, spec.Registry.Seed, lo, hi, workers,
+		func(ctx context.Context, rep int, seed uint64) (Replicate, error) {
+			return runReplicate(ctx, entry, spec, rep, seed)
+		}, incorporate)
 }
 
 // Run executes the ensemble: replicates fanned across the worker pool,
@@ -309,7 +325,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	agg := newAggregator(spec.Replicates)
-	err = dispatch(ctx, entry, spec, 0, spec.Replicates, opts.Workers, func(r Replicate) bool {
+	err = replicates(ctx, entry, spec, 0, spec.Replicates, opts.Workers, func(r Replicate) bool {
 		rangeClosed := agg.add(r)
 		if opts.OnReplicate != nil {
 			opts.OnReplicate(r)
@@ -354,7 +370,7 @@ func RunRange(ctx context.Context, spec Spec, lo, hi, workers int) (*Partial, er
 	}
 	start := time.Now()
 	p := NewPartial(lo, hi)
-	err = dispatch(ctx, entry, spec, lo, hi, workers, func(r Replicate) bool {
+	err = replicates(ctx, entry, spec, lo, hi, workers, func(r Replicate) bool {
 		p.Add(r)
 		return false
 	})
@@ -400,7 +416,7 @@ func RunRanges(ctx context.Context, spec Spec, ranges []Range, workers int, onRa
 	cur := NewPartial(ranges[0].Lo, ranges[0].Hi)
 	start := time.Now()
 	stopped := false
-	err = dispatch(ctx, entry, spec, ranges[0].Lo, ranges[len(ranges)-1].Hi, workers, func(r Replicate) bool {
+	err = replicates(ctx, entry, spec, ranges[0].Lo, ranges[len(ranges)-1].Hi, workers, func(r Replicate) bool {
 		cur.Add(r)
 		if cur.Count < cur.Hi-cur.Lo {
 			return false
@@ -430,12 +446,13 @@ func RunRanges(ctx context.Context, spec Spec, ranges []Range, workers int, onRa
 	return nil
 }
 
-// runReplicate executes one replicate to completion (or cancellation)
-// through the shared Drive schedule. A canceled replicate returns
-// context.Canceled; Run treats that as "dropped", not as a failure.
-func runReplicate(ctx context.Context, entry registry.Entry, spec Spec, rep int) (Replicate, error) {
+// runReplicate executes replicate rep (scheduler seed seed) to
+// completion (or cancellation) through the shared Drive schedule. A
+// canceled replicate returns context.Canceled; Dispatch treats that as
+// "dropped", not as a failure.
+func runReplicate(ctx context.Context, entry registry.Entry, spec Spec, rep int, seed uint64) (Replicate, error) {
 	rspec := spec.Registry
-	rspec.Seed = ReplicateSeed(spec.Registry.Seed, rep)
+	rspec.Seed = seed
 	el, err := registry.New(rspec)
 	if err != nil {
 		// The spec was validated by Canonicalize; this is an internal

@@ -162,6 +162,45 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
+// TestDispatchOrderSeedsAndErrors: Dispatch runs every replicate of its
+// range with its ReplicateSeed, hands results over in replicate order
+// however completions interleave, and returns the first non-cancellation
+// run error.
+func TestDispatchOrderSeedsAndErrors(t *testing.T) {
+	run := func(_ context.Context, rep int, seed uint64) (uint64, error) {
+		time.Sleep(time.Duration((rep*7)%5) * time.Millisecond) // scramble completions
+		return seed, nil
+	}
+	var got []uint64
+	err := ensemble.Dispatch(context.Background(), 99, 3, 40, 4, run, func(seed uint64) bool {
+		got = append(got, seed)
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 37 {
+		t.Fatalf("incorporated %d replicates, want 37", len(got))
+	}
+	for i, seed := range got {
+		if want := ensemble.ReplicateSeed(99, 3+i); seed != want {
+			t.Fatalf("position %d: seed %d, want replicate %d's %d", i, seed, 3+i, want)
+		}
+	}
+
+	boom := errors.New("boom")
+	err = ensemble.Dispatch(context.Background(), 99, 0, 40, 4,
+		func(ctx context.Context, rep int, seed uint64) (uint64, error) {
+			if rep == 10 {
+				return 0, boom
+			}
+			return run(ctx, rep, seed)
+		}, func(uint64) bool { return false })
+	if !errors.Is(err, boom) {
+		t.Fatalf("Dispatch error = %v, want the run error", err)
+	}
+}
+
 // TestReplicateOrderAndSeeds: OnReplicate must observe replicates in
 // index order with the documented seeds.
 func TestReplicateOrderAndSeeds(t *testing.T) {
@@ -191,6 +230,7 @@ func TestValidation(t *testing.T) {
 		{Registry: registry.Spec{Protocol: "nope", N: 1000}, Replicates: 4},
 		{Registry: registry.Spec{Protocol: "pll", N: 1}, Replicates: 4},
 		{Registry: registry.Spec{Protocol: "pll", N: 1000}, Replicates: 4, CITarget: -0.5},
+		{Registry: registry.Spec{Protocol: "maxid", N: 64, M: 5}, Replicates: 4},
 	}
 	for _, spec := range cases {
 		if _, err := ensemble.Run(context.Background(), spec, ensemble.Options{}); !errors.Is(err, registry.ErrBadSpec) {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
+	"popproto/internal/registry"
 	"popproto/internal/stats"
 	"popproto/internal/table"
 )
@@ -47,10 +47,9 @@ func ablationExperiment() Experiment {
 		for _, phi := range phis {
 			params := base.WithPhi(phi)
 			proto := core.New(params)
-			var mu sync.Mutex
 			needBackup := 0
-			times := make([]float64, repCount)
-			pp.Parallel(repCount, cfg.Workers, cfg.Seed+uint64(phi), func(rep int, seed uint64) {
+			times := make([]float64, 0, repCount)
+			replicate(cfg, cfg.Seed+uint64(phi), repCount, func(seed uint64) func() {
 				sim := pp.NewSimulator[core.State](proto, n, seed)
 				// Watch for two independent events: stabilization (one
 				// leader) and the first epoch-4 agent. More than one
@@ -80,11 +79,11 @@ func ablationExperiment() Experiment {
 				if stabTime < 0 {
 					stabTime = sim.ParallelTime() // budget exhausted; report as-is
 				}
-				times[rep] = stabTime
-				if residual {
-					mu.Lock()
-					needBackup++
-					mu.Unlock()
+				return func() {
+					times = append(times, stabTime)
+					if residual {
+						needBackup++
+					}
 				}
 			})
 			rate := float64(needBackup) / float64(repCount)
@@ -103,10 +102,9 @@ func ablationExperiment() Experiment {
 			if err != nil {
 				panic(err)
 			}
-			proto := core.New(params)
-			times, _ := measureTimes[core.State](engineFor(cfg, n), proto, n, repCount,
-				cfg.Seed+uint64(m)*17, 40*logBudget(n), cfg.Workers)
-			mean := stats.Mean(times)
+			mean := measureEnsemble(cfg, registry.Spec{
+				Protocol: "pll", N: n, M: m, Engine: cfg.Engine, Seed: cfg.Seed + uint64(m)*17,
+			}, repCount, 40*logBudget(n)).MeanParallelTime
 			mTimes = append(mTimes, mean)
 			mTbl.AddRowf(m, params.CMax, params.StateSpaceSize(), f1(mean), f2(mean/float64(m)))
 		}
@@ -117,7 +115,8 @@ func ablationExperiment() Experiment {
 		body.WriteString(phiTbl.Markdown())
 		body.WriteString("\nWider nonces leave fewer ties to the BackUp safety net but pay " +
 			"2^Φ(Φ+1) states; Φ = 0 disables the Tournament entirely and leans fully on BackUp.\n\n")
-		fmt.Fprintf(&body, "**m sweep** (paper requires m ≥ lg n = %d and m = Θ(log n)):\n\n", core.CeilLog2(n))
+		fmt.Fprintf(&body, "**m sweep** (paper requires m ≥ lg n = %d and m = Θ(log n); %d runs per m):\n\n",
+			core.CeilLog2(n), cellReps(cfg, repCount))
 		body.WriteString(mTbl.Markdown())
 		body.WriteString("\nOversizing m keeps the election correct but slows the epoch clock " +
 			"(cmax = 41m) — the slow mode of the time distribution scales with m, which is why " +

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
@@ -68,24 +67,20 @@ func backupExperiment() Experiment {
 		for i, n := range ns {
 			p := core.NewForN(n)
 			leaders := max(2, n/8)
-			times := make([]float64, repCount)
-			var mu sync.Mutex
-			ok := true
-			pp.Parallel(repCount, cfg.Workers, cfg.Seed+uint64(i), func(rep int, seed uint64) {
+			times := make([]float64, 0, repCount)
+			replicate(cfg, cfg.Seed+uint64(i), repCount, func(seed uint64) func() {
 				sim := pp.NewSimulator[core.State](p, n, seed)
 				buildBstart(p, sim, leaders, seed^0xb5)
 				if sim.Leaders() != leaders {
 					panic("backup experiment: Bstart construction broken")
 				}
-				_, good := sim.RunUntilLeaders(1, 100*logBudget(n))
-				times[rep] = sim.ParallelTime()
-				if !good {
-					mu.Lock()
-					ok = false
-					mu.Unlock()
+				_, ok := sim.RunUntilLeaders(1, 100*logBudget(n))
+				t := sim.ParallelTime()
+				return func() {
+					times = append(times, t)
+					allOK = allOK && ok
 				}
 			})
-			allOK = allOK && ok
 			s := stats.Summarize(times)
 			lg := float64(core.CeilLog2(n))
 			tbl.AddRowf(n, leaders, f1(s.Mean), f3(s.Mean/(lg*lg)))
@@ -104,8 +99,17 @@ func backupExperiment() Experiment {
 		}
 		desyncParams := core.NewParamsUnchecked(desyncN, 1)
 		desyncProto := core.New(desyncParams)
-		desyncTimes, desyncOK := measureTimes[core.State](engineFor(cfg, desyncN), desyncProto, desyncN, desyncReps,
-			cfg.Seed+999, uint64(desyncN)*uint64(desyncN)*uint64(desyncN)*8, cfg.Workers)
+		desyncTimes := make([]float64, 0, desyncReps)
+		desyncOK := true
+		replicate(cfg, cfg.Seed+999, desyncReps, func(seed uint64) func() {
+			sim := pp.NewRunner[core.State](engineFor(cfg, desyncN), desyncProto, desyncN, seed)
+			_, ok := sim.RunUntilLeaders(1, uint64(desyncN)*uint64(desyncN)*uint64(desyncN)*8)
+			t := sim.ParallelTime()
+			return func() {
+				desyncTimes = append(desyncTimes, t)
+				desyncOK = desyncOK && ok
+			}
+		})
 		ds := stats.Summarize(desyncTimes)
 
 		lastN := float64(ns[len(ns)-1])

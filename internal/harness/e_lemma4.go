@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
@@ -29,11 +28,10 @@ func lemma4Experiment() Experiment {
 		}
 		p := core.NewForN(n)
 
-		var mu sync.Mutex
 		minA, minB, minF := n, n, n
 		violations := 0
-		assignTimes := make([]float64, repCount)
-		pp.Parallel(repCount, cfg.Workers, cfg.Seed, func(rep int, seed uint64) {
+		assignTimes := make([]float64, 0, repCount)
+		replicate(cfg, cfg.Seed, repCount, func(seed uint64) func() {
 			sim := pp.NewSimulator[core.State](p, n, seed)
 			for {
 				sim.RunSteps(uint64(n))
@@ -43,16 +41,16 @@ func lemma4Experiment() Experiment {
 				}
 				a, b := counts[core.StatusA], counts[core.StatusB]
 				f := n - sim.Leaders()
-				assignTimes[rep] = sim.ParallelTime()
-				mu.Lock()
-				minA = min(minA, a)
-				minB = min(minB, b)
-				minF = min(minF, f)
-				if a < n/2 || b < 1 || f < n/2 {
-					violations++
+				t := sim.ParallelTime()
+				return func() {
+					assignTimes = append(assignTimes, t)
+					minA = min(minA, a)
+					minB = min(minB, b)
+					minF = min(minF, f)
+					if a < n/2 || b < 1 || f < n/2 {
+						violations++
+					}
 				}
-				mu.Unlock()
-				return
 			}
 		})
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
@@ -44,10 +43,9 @@ func lemma6Experiment() Experiment {
 			return c
 		}
 
-		var mu sync.Mutex
 		p1OK, p2OK, p3OK := 0, 0, 0
 		var spreadTimes, nextStartTimes []float64
-		pp.Parallel(repCount, cfg.Workers, cfg.Seed, func(_ int, seed uint64) {
+		replicate(cfg, cfg.Seed, repCount, func(seed uint64) func() {
 			sim := pp.NewSimulator[core.State](p, n, seed)
 			check := uint64(n / 2)
 
@@ -56,7 +54,7 @@ func lemma6Experiment() Experiment {
 				return colorCount(s, 1) > 0
 			})
 			if !ok {
-				return // counted as failure of all three
+				return func() {} // counted as failure of all three
 			}
 
 			// P2: color 1 covers the population within ⌊4 n ln n⌋ steps.
@@ -69,18 +67,18 @@ func lemma6Experiment() Experiment {
 				return colorCount(s, 2) > 0
 			})
 
-			mu.Lock()
-			defer mu.Unlock()
-			if covered {
-				p2OK++
-				spreadTimes = append(spreadTimes, float64(t2-t1)/float64(n))
-			}
-			if !sawColor2 || t3-t1 > uint64(21*nLogN) {
-				p1OK++ // no early color 2 within the P1 window
-			}
-			if sawColor2 {
-				p3OK++
-				nextStartTimes = append(nextStartTimes, float64(t3-t1)/float64(n))
+			return func() {
+				if covered {
+					p2OK++
+					spreadTimes = append(spreadTimes, float64(t2-t1)/float64(n))
+				}
+				if !sawColor2 || t3-t1 > uint64(21*nLogN) {
+					p1OK++ // no early color 2 within the P1 window
+				}
+				if sawColor2 {
+					p3OK++
+					nextStartTimes = append(nextStartTimes, float64(t3-t1)/float64(n))
+				}
 			}
 		})
 

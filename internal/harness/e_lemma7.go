@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
@@ -31,12 +30,11 @@ func lemma7Experiment() Experiment {
 		p := core.NewForN(n)
 		horizon := uint64(math.Floor(21 * float64(n) * math.Log(float64(n))))
 
-		var mu sync.Mutex
 		survivorCounts := make(map[int]int)
 		hist := stats.NewHistogram(9)
 		zeroLeaderRuns := 0
 		leftEpochOne := 0
-		pp.Parallel(repCount, cfg.Workers, cfg.Seed, func(_ int, seed uint64) {
+		replicate(cfg, cfg.Seed, repCount, func(seed uint64) func() {
 			sim := pp.NewSimulator[core.State](p, n, seed)
 			sim.RunSteps(horizon)
 			leaders := sim.Leaders()
@@ -46,15 +44,15 @@ func lemma7Experiment() Experiment {
 					epochsBeyond++
 				}
 			})
-			mu.Lock()
-			defer mu.Unlock()
-			survivorCounts[leaders]++
-			hist.Add(leaders)
-			if leaders == 0 {
-				zeroLeaderRuns++
-			}
-			if epochsBeyond > 0 {
-				leftEpochOne++
+			return func() {
+				survivorCounts[leaders]++
+				hist.Add(leaders)
+				if leaders == 0 {
+					zeroLeaderRuns++
+				}
+				if epochsBeyond > 0 {
+					leftEpochOne++
+				}
 			}
 		})
 

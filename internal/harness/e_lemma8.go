@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
@@ -34,9 +33,8 @@ func lemma8Experiment() Experiment {
 		rates := make([]float64, 0, len(sizes))
 		for _, n := range sizes {
 			p := core.NewForN(n)
-			var mu sync.Mutex
 			successes := 0
-			pp.Parallel(repCount, cfg.Workers, cfg.Seed+uint64(n), func(_ int, seed uint64) {
+			replicate(cfg, cfg.Seed+uint64(n), repCount, func(seed uint64) func() {
 				sim := pp.NewSimulator[core.State](p, n, seed)
 				_, ok := runUntil(sim, uint64(n/2), logBudget(n), func(s pp.Runner[core.State]) bool {
 					inFourth := false
@@ -47,14 +45,10 @@ func lemma8Experiment() Experiment {
 					})
 					return inFourth
 				})
-				if !ok {
-					return
+				if !ok || sim.Leaders() != 1 {
+					return func() {}
 				}
-				if sim.Leaders() == 1 {
-					mu.Lock()
-					successes++
-					mu.Unlock()
-				}
+				return func() { successes++ }
 			})
 			rate := float64(successes) / float64(repCount)
 			rates = append(rates, rate)

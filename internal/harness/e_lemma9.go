@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"popproto/internal/asciichart"
 	"popproto/internal/core"
@@ -31,10 +30,8 @@ func lemma9Experiment() Experiment {
 		allReached := true
 		for i, n := range ns {
 			p := core.NewForN(n)
-			times := make([]float64, repCount)
-			var mu sync.Mutex
-			reached := true
-			pp.Parallel(repCount, cfg.Workers, cfg.Seed+uint64(i), func(rep int, seed uint64) {
+			times := make([]float64, 0, repCount)
+			replicate(cfg, cfg.Seed+uint64(i), repCount, func(seed uint64) func() {
 				sim := pp.NewSimulator[core.State](p, n, seed)
 				_, ok := runUntil(sim, uint64(n), 40*logBudget(n), func(s pp.Runner[core.State]) bool {
 					all := true
@@ -45,14 +42,12 @@ func lemma9Experiment() Experiment {
 					})
 					return all
 				})
-				times[rep] = sim.ParallelTime()
-				if !ok {
-					mu.Lock()
-					reached = false
-					mu.Unlock()
+				t := sim.ParallelTime()
+				return func() {
+					times = append(times, t)
+					allReached = allReached && ok
 				}
 			})
-			allReached = allReached && reached
 			s := stats.Summarize(times)
 			lo, hi := s.CI95()
 			tbl.AddRowf(n, f1(s.Mean), fmt.Sprintf("[%s, %s]", f1(lo), f1(hi)),

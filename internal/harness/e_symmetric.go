@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"popproto/internal/asciichart"
-	"popproto/internal/core"
+	"popproto/internal/registry"
 	"popproto/internal/stats"
 	"popproto/internal/table"
 )
@@ -34,13 +34,14 @@ func symmetricExperiment() Experiment {
 		symYs := make([]float64, 0, len(ns))
 		allOK := true
 		for i, n := range ns {
-			asymTimes, okA := measureTimes[core.State](engineFor(cfg, n), core.NewForN(n), n, repCount,
-				cfg.Seed+uint64(i), logBudget(n), cfg.Workers)
-			symTimes, okS := measureTimes[core.SymState](engineFor(cfg, n), core.NewSymmetricForN(n), n, repCount,
-				cfg.Seed+uint64(i)+31, 40*logBudget(n), cfg.Workers)
-			allOK = allOK && okA && okS
-			a := stats.Mean(asymTimes)
-			s := stats.Mean(symTimes)
+			asym := measureEnsemble(cfg, registry.Spec{
+				Protocol: "pll", N: n, Engine: cfg.Engine, Seed: cfg.Seed + uint64(i),
+			}, repCount, logBudget(n))
+			sym := measureEnsemble(cfg, registry.Spec{
+				Protocol: "pll-sym", N: n, Engine: cfg.Engine, Seed: cfg.Seed + uint64(i) + 31,
+			}, repCount, 40*logBudget(n))
+			allOK = allOK && asym.Stabilized == asym.Replicates && sym.Stabilized == sym.Replicates
+			a, s := asym.MeanParallelTime, sym.MeanParallelTime
 			tbl.AddRowf(n, f1(a), f1(s), f2(s/a))
 			xs = append(xs, float64(n))
 			asymYs = append(asymYs, a)
@@ -51,7 +52,7 @@ func symmetricExperiment() Experiment {
 		lastRatio := symYs[len(symYs)-1] / asymYs[len(asymYs)-1]
 
 		var body strings.Builder
-		fmt.Fprintf(&body, "%d repetitions per cell; t̄ is mean parallel stabilization time.\n\n", repCount)
+		fmt.Fprintf(&body, "%d repetitions per cell; t̄ is mean parallel stabilization time.\n\n", cellReps(cfg, repCount))
 		body.WriteString(tbl.Markdown())
 		body.WriteString("\n```\n")
 		body.WriteString(asciichart.Plot([]asciichart.Series{
@@ -64,7 +65,7 @@ func symmetricExperiment() Experiment {
 			{
 				Claim:  "the symmetric variant elects exactly one leader in every run",
 				Pass:   allOK,
-				Detail: fmt.Sprintf("%d sizes × %d runs", len(ns), repCount),
+				Detail: fmt.Sprintf("%d sizes × %d runs", len(ns), cellReps(cfg, repCount)),
 			},
 			{
 				Claim:  "symmetric time stays logarithmic (Section 4: no asymptotic harm)",

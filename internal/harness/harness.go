@@ -39,9 +39,12 @@ type Config struct {
 	// address individual agents (Bstart constructions, coin audits) always
 	// use the per-agent engine.
 	Engine pp.Engine
-	// Replicates overrides the per-cell repetition count of the
-	// ensemble-executed experiments (Table 1/2, Theorem 1); 0 keeps each
-	// experiment's default. Raise it for tighter CIs, lower it for speed.
+	// Replicates overrides the per-cell repetition count of the cells
+	// that measure a plain registry spec through measureEnsemble (Table
+	// 1/2, Theorem 1, the symmetric comparison, the ablation's m sweep);
+	// 0 keeps each experiment's default. Raise it for tighter CIs, lower
+	// it for speed. Instrumented runs (the lemma experiments, BackUp's
+	// Bstart and m = 1 runs, the ablation's Φ sweep) keep their counts.
 	Replicates int
 	// CITarget, when positive, lets those ensembles stop early once the
 	// relative 95% CI half-width of the mean stabilization time reaches

@@ -101,3 +101,28 @@ func TestExperimentsQuickCountEngine(t *testing.T) {
 		})
 	}
 }
+
+// TestReportsIndependentOfWorkers pins the in-order fold: every
+// experiment that fans replicates out over workers must render the
+// byte-identical Quick report at one worker and at eight.
+func TestReportsIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke tests are not -short")
+	}
+	for _, id := range []string{"lemma4", "lemma6", "lemma7", "lemma8", "lemma9",
+		"backup", "ablation", "symmetric"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		t.Run(id, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Workers = 1
+			one := e.Run(cfg).Markdown
+			cfg.Workers = 8
+			if eight := e.Run(cfg).Markdown; eight != one {
+				t.Errorf("report differs between 1 and 8 workers:\n--- 1 worker\n%s\n--- 8 workers\n%s", one, eight)
+			}
+		})
+	}
+}

@@ -49,9 +49,10 @@ func runUntil[S comparable](
 // spec through the shared replication executor — multi-core fan-out,
 // Welford aggregation with 95% CIs, quantile sketch — and returns the
 // aggregates. cfg.Replicates overrides rep; cfg.CITarget enables early
-// stopping. The paper-table experiments (Table 1/2, Theorem 1) measure
-// through this, so their cells are the same aggregates popprotod's
-// /v1/experiments serves.
+// stopping. Every cell that measures a plain registry spec (Table 1/2,
+// Theorem 1, the symmetric comparison, the ablation's m sweep) goes
+// through this, so its numbers are the aggregates popprotod's
+// /v1/experiments serves for the same spec.
 func measureEnsemble(cfg Config, spec registry.Spec, rep int, budget uint64) ensemble.Aggregates {
 	if cfg.Replicates > 0 {
 		rep = cfg.Replicates
@@ -100,20 +101,17 @@ func engineFor(cfg Config, n int) pp.Engine {
 	return entry.RecommendedEngine(n)
 }
 
-// measureTimes runs repCount independent elections on the selected engine
-// and returns the parallel stabilization times together with a flag
-// reporting whether all runs actually stabilized within the budget.
-func measureTimes[S comparable](
-	engine pp.Engine, proto pp.Protocol[S], n, repCount int, seed, budget uint64, workers int,
-) (times []float64, allOK bool) {
-	results := pp.MeasureWith(engine, proto, n, repCount, seed, budget, workers)
-	times = make([]float64, len(results))
-	allOK = true
-	for i, r := range results {
-		times[i] = r.ParallelTime
-		if !r.Stabilized {
-			allOK = false
-		}
+// replicate runs repCount instrumented runs through the ensemble
+// executor: run r gets the scheduler seed ensemble.ReplicateSeed(seed, r),
+// exactly as replicate r of an ensemble with base seed seed would, and
+// the fold it returns runs on the calling goroutine strictly in
+// replicate order — so a report is the same for any cfg.Workers, and
+// folds need no lock.
+func replicate(cfg Config, seed uint64, repCount int, run func(seed uint64) (fold func())) {
+	err := ensemble.Dispatch(context.Background(), seed, 0, repCount, cfg.Workers,
+		func(_ context.Context, _ int, seed uint64) (func(), error) { return run(seed), nil },
+		func(fold func()) bool { fold(); return false })
+	if err != nil {
+		panic(err) // unreachable: run cannot fail and the context is never canceled
 	}
-	return times, allOK
 }

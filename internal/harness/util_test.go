@@ -8,6 +8,7 @@ import (
 	"popproto/internal/baseline"
 	"popproto/internal/core"
 	"popproto/internal/pp"
+	"popproto/internal/registry"
 )
 
 func TestPickThresholds(t *testing.T) {
@@ -111,16 +112,17 @@ func TestSummarizeOrEmpty(t *testing.T) {
 	}
 }
 
-func TestMeasureTimesReportsBudgetFailures(t *testing.T) {
-	// A 2-step budget cannot elect among 64 duelling agents — on either
+func TestEnsembleCellReportsBudgetFailures(t *testing.T) {
+	// A 2-step budget cannot elect among 64 duelling agents — on any
 	// engine.
 	for _, engine := range pp.Engines() {
-		times, ok := measureTimes[baseline.AngluinState](engine, baseline.Angluin{}, 64, 5, 1, 2, 2)
-		if ok {
-			t.Fatalf("engine %s: budget failure not reported", engine)
+		agg := measureEnsemble(Config{Workers: 2},
+			registry.Spec{Protocol: "angluin", N: 64, Engine: engine, Seed: 1}, 5, 2)
+		if agg.Replicates != 5 {
+			t.Fatalf("engine %s: got %d replicates", engine, agg.Replicates)
 		}
-		if len(times) != 5 {
-			t.Fatalf("engine %s: got %d times", engine, len(times))
+		if agg.Stabilized != 0 {
+			t.Fatalf("engine %s: budget failure not reported (%d stabilized)", engine, agg.Stabilized)
 		}
 	}
 }

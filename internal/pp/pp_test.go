@@ -276,59 +276,42 @@ func TestRunScheduleAdvancesSteps(t *testing.T) {
 	}
 }
 
-func TestParallelRunsEveryRepOnce(t *testing.T) {
-	const reps = 100
-	hits := make([]int, reps)
-	var seeds = make([]uint64, reps)
-	pp.Parallel(reps, 4, 123, func(rep int, seed uint64) {
-		hits[rep]++
-		seeds[rep] = seed
-	})
-	for rep, h := range hits {
-		if h != 1 {
-			t.Fatalf("rep %d ran %d times", rep, h)
-		}
-	}
-	// Seeds must be deterministic across invocations.
-	again := make([]uint64, reps)
-	pp.Parallel(reps, 2, 123, func(rep int, seed uint64) { again[rep] = seed })
-	for rep := range seeds {
-		if seeds[rep] != again[rep] {
-			t.Fatalf("rep %d seed differs across invocations", rep)
-		}
-	}
-}
-
-func TestParallelZeroReps(t *testing.T) {
-	called := false
-	pp.Parallel(0, 4, 1, func(int, uint64) { called = true })
-	if called {
-		t.Fatal("task called for zero reps")
-	}
-}
-
+// TestMeasureStabilization: every engine elects the duel fixture in
+// every run of a replicated measurement, and the measurement is
+// reproducible across worker counts.
 func TestMeasureStabilization(t *testing.T) {
+	type run struct {
+		steps   uint64
+		ok      bool
+		leaders int
+		time    float64
+	}
+	measure := func(engine pp.Engine, workers int) []run {
+		runs := make([]run, 20)
+		pptest.Parallel(len(runs), workers, 7, func(rep int, seed uint64) {
+			sim := pp.NewRunner[bool](engine, duel, 50, seed)
+			steps, ok := sim.RunUntilLeaders(1, 1<<40)
+			runs[rep] = run{steps, ok, sim.Leaders(), sim.ParallelTime()}
+		})
+		return runs
+	}
 	for _, engine := range pp.Engines() {
 		t.Run(engine.String(), func(t *testing.T) {
-			results := pp.MeasureWith[bool](engine, duel, 50, 20, 7, 1<<40, 2)
-			if len(results) != 20 {
-				t.Fatalf("got %d results", len(results))
-			}
-			for i, r := range results {
-				if !r.Stabilized {
+			runs := measure(engine, 2)
+			for i, r := range runs {
+				if !r.ok {
 					t.Fatalf("rep %d did not stabilize", i)
 				}
-				if r.Leaders != 1 {
-					t.Fatalf("rep %d ended with %d leaders", i, r.Leaders)
+				if r.leaders != 1 {
+					t.Fatalf("rep %d ended with %d leaders", i, r.leaders)
 				}
-				if r.ParallelTime <= 0 {
-					t.Fatalf("rep %d parallel time %v", i, r.ParallelTime)
+				if r.time <= 0 {
+					t.Fatalf("rep %d parallel time %v", i, r.time)
 				}
 			}
-			// Deterministic overall.
-			again := pp.MeasureWith[bool](engine, duel, 50, 20, 7, 1<<40, 4)
-			for i := range results {
-				if results[i].Steps != again[i].Steps {
+			again := measure(engine, 4)
+			for i := range runs {
+				if runs[i].steps != again[i].steps {
 					t.Fatalf("rep %d not reproducible across worker counts", i)
 				}
 			}

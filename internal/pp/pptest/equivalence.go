@@ -53,7 +53,7 @@ func EquivFixtureConfigured[S comparable](
 			t.Helper()
 			times := make([]float64, reps)
 			failed := make([]bool, reps)
-			pp.Parallel(reps, 0, seed, func(rep int, repSeed uint64) {
+			Parallel(reps, 0, seed, func(rep int, repSeed uint64) {
 				sim := pp.NewRunner(engine, proto, n, repSeed)
 				if configure != nil {
 					configure(sim, repSeed)

@@ -53,3 +53,34 @@ func TestFixtures(t *testing.T) {
 		t.Fatal("frozen must be the identity")
 	}
 }
+
+func TestParallelRunsEveryRepOnce(t *testing.T) {
+	const reps = 100
+	hits := make([]int, reps)
+	var seeds = make([]uint64, reps)
+	pptest.Parallel(reps, 4, 123, func(rep int, seed uint64) {
+		hits[rep]++
+		seeds[rep] = seed
+	})
+	for rep, h := range hits {
+		if h != 1 {
+			t.Fatalf("rep %d ran %d times", rep, h)
+		}
+	}
+	// Seeds must be deterministic across invocations.
+	again := make([]uint64, reps)
+	pptest.Parallel(reps, 2, 123, func(rep int, seed uint64) { again[rep] = seed })
+	for rep := range seeds {
+		if seeds[rep] != again[rep] {
+			t.Fatalf("rep %d seed differs across invocations", rep)
+		}
+	}
+}
+
+func TestParallelZeroReps(t *testing.T) {
+	called := false
+	pptest.Parallel(0, 4, 1, func(int, uint64) { called = true })
+	if called {
+		t.Fatal("task called for zero reps")
+	}
+}

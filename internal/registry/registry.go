@@ -415,41 +415,3 @@ func New(spec Spec) (Election, error) {
 	}
 	return entry.build(spec)
 }
-
-// Measure runs reps independent elections of spec over a bounded worker
-// pool (workers <= 0 selects NumCPU), with per-rep seeds derived
-// deterministically from spec.Seed, each capped at budget interactions
-// (budget 0 selects the entry's StepBudget). It is the type-erased
-// counterpart of pp.MeasureWith and what the harness and examples use for
-// expectation estimates.
-func Measure(spec Spec, reps, workers int, budget uint64) ([]pp.RunResult, error) {
-	entry, err := Validate(spec)
-	if err != nil {
-		return nil, err
-	}
-	if spec, err = ResolveEngine(spec); err != nil {
-		return nil, err
-	}
-	if budget == 0 {
-		budget = entry.StepBudget(spec.N)
-	}
-	results := make([]pp.RunResult, reps)
-	pp.Parallel(reps, workers, spec.Seed, func(rep int, seed uint64) {
-		s := spec
-		s.Seed = seed
-		el, err := entry.build(s)
-		if err != nil {
-			// build was validated above with identical parameters.
-			panic(err)
-		}
-		steps, ok := el.RunUntilLeaders(entry.Target, budget)
-		results[rep] = pp.RunResult{
-			Seed:         seed,
-			Steps:        steps,
-			ParallelTime: float64(steps) / float64(spec.N),
-			Stabilized:   ok,
-			Leaders:      el.Leaders(),
-		}
-	})
-	return results, nil
-}

@@ -152,37 +152,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestMeasure(t *testing.T) {
-	spec := registry.Spec{Protocol: "angluin", N: 128, Engine: pp.EngineCount, Seed: 3}
-	results, err := registry.Measure(spec, 8, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("got %d results, want 8", len(results))
-	}
-	seeds := make(map[uint64]bool)
-	for _, r := range results {
-		if !r.Stabilized {
-			t.Errorf("run with seed %d did not stabilize", r.Seed)
-		}
-		if r.Leaders != 1 {
-			t.Errorf("run with seed %d ended with %d leaders", r.Seed, r.Leaders)
-		}
-		seeds[r.Seed] = true
-	}
-	if len(seeds) != 8 {
-		t.Errorf("per-rep seeds not distinct: %d unique of 8", len(seeds))
-	}
-
-	if _, err := registry.Measure(registry.Spec{Protocol: "pll", N: 1}, 4, 1, 0); err == nil {
-		t.Error("Measure accepted n=1")
-	}
-	if _, err := registry.Measure(registry.Spec{Protocol: "maxid", N: 64, M: 5}, 4, 1, 0); err == nil {
-		t.Error("Measure accepted m on an m-less protocol")
-	}
-}
-
 func TestCensusString(t *testing.T) {
 	got := registry.CensusString(map[string]int{"b": 2, "a": 2, "c": 9})
 	want := "c:9 a:2 b:2"

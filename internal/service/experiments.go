@@ -280,8 +280,8 @@ func (m *Manager) decodeExperiment(rec store.Record) (*Experiment, bool) {
 func (m *Manager) runExperiment(e *Experiment) {
 	key := e.spec.key()
 	if !e.Begin(nil) {
+		m.exps.Finish(key, e, StateCanceled, "canceled while queued", nil)
 		m.metrics.recordRunState(store.KindExperiment, StateCanceled)
-		m.exps.Finished(key, e)
 		return
 	}
 	start := time.Now()
@@ -290,23 +290,20 @@ func (m *Manager) runExperiment(e *Experiment) {
 	wall := wallDur.Milliseconds()
 	switch {
 	case err == nil:
-		e.Finish(StateDone, "", func() {
+		m.exps.Finish(key, e, StateDone, "", func() {
 			e.agg = &agg
 			e.dist = dist
 			e.wallMillis = wall
 		})
 		m.metrics.recordRunState(store.KindExperiment, StateDone)
 		m.metrics.recordEngineRun(e.spec.Engine, ensembleInteractions(agg), wallDur)
-		m.exps.Finished(key, e)
 		m.core.Persist(store.KindExperiment, key, e.ID, e.spec, agg)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		e.Finish(StateCanceled, "canceled", func() { e.wallMillis = wall })
+		m.exps.Finish(key, e, StateCanceled, "canceled", func() { e.wallMillis = wall })
 		m.metrics.recordRunState(store.KindExperiment, StateCanceled)
-		m.exps.Finished(key, e)
 	default:
-		e.Finish(StateFailed, err.Error(), func() { e.wallMillis = wall })
+		m.exps.Finish(key, e, StateFailed, err.Error(), func() { e.wallMillis = wall })
 		m.metrics.recordRunState(store.KindExperiment, StateFailed)
-		m.exps.Finished(key, e)
 	}
 }
 
@@ -319,23 +316,4 @@ func ensembleInteractions(agg ensemble.Aggregates) uint64 {
 		return 0
 	}
 	return uint64(total)
-}
-
-// finishedExperiment constructs an already-done experiment around
-// externally computed aggregates — how a sweep cell publishes its
-// result into the experiment cache, so a later POST /v1/experiments of
-// the same spec is a cache hit.
-func finishedExperiment(id string, spec ExperimentSpec, espec ensemble.Spec, agg ensemble.Aggregates, dist *cluster.Distribution, wallMillis int64) *Experiment {
-	e := &Experiment{
-		Run:   runcore.NewRun[ensemble.Aggregates](id),
-		spec:  spec,
-		espec: espec,
-	}
-	cp := agg
-	e.Finish(StateDone, "", func() {
-		e.agg = &cp
-		e.dist = dist
-		e.wallMillis = wallMillis
-	})
-	return e
 }

@@ -117,6 +117,7 @@ func (c *Core) Persist(kind store.Kind, key, id string, spec, data any) {
 type Lifecycle interface {
 	State() State
 	Cancel()
+	Finish(state State, errMsg string, update func())
 }
 
 // Index is one run kind's finished-work cache and in-flight index on a
@@ -274,17 +275,24 @@ func (x *Index[R]) Lookup(key string) (R, bool) {
 	return x.cache.get(key)
 }
 
-// Finished files a terminal run under its canonical key (evicting the
-// oldest entries, and with them their id index) and ensures the id
-// index knows it — runs created by Submit already do; synthetic runs
+// Finish is a run's terminal transition together with its filing: under
+// the core's lock it runs r.Finish(state, errMsg, update) — a no-op for
+// a run already terminal — and files r under its canonical key (evicting
+// the oldest entries, and with them their id index), in that order.
+// Nothing can observe r done before it is filed, so a client that
+// resubmits the instant Done() closes is a cache hit, never a duplicate
+// run. The lock order is Submit's: core lock, then run lock.
+//
+// Runs created by Submit are already in the id index; synthetic runs
 // (sweep cells shared into the experiment cache) are indexed here. If a
 // *live* (non-terminal) run already holds the id — an identical
 // in-flight run raced this one to the same result — neither index is
 // touched: the live run must stay addressable (cancellation included)
 // and will file itself when it finishes.
-func (x *Index[R]) Finished(key string, r R) {
+func (x *Index[R]) Finish(key string, r R, state State, errMsg string, update func()) {
 	x.core.mu.Lock()
 	defer x.core.mu.Unlock()
+	r.Finish(state, errMsg, update)
 	if cur, ok := x.byID[x.id(r)]; ok && !cur.State().Terminal() {
 		return
 	}

@@ -2,6 +2,7 @@ package runcore
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -220,8 +221,7 @@ func TestFinishedNeverClobbersLiveRun(t *testing.T) {
 	}
 
 	synthetic := NewRun[int]("id-1")
-	synthetic.Finish(StateDone, "", nil)
-	x.Finished("key-1", synthetic)
+	x.Finish("key-1", synthetic, StateDone, "", nil)
 
 	got, ok := x.Get("id-1", nil)
 	if !ok || got != live {
@@ -229,8 +229,36 @@ func TestFinishedNeverClobbersLiveRun(t *testing.T) {
 	}
 	// Once the live run is terminal, filing is allowed again (last wins).
 	live.Finish(StateDone, "", nil)
-	x.Finished("key-1", synthetic)
+	x.Finish("key-1", synthetic, StateDone, "", nil)
 	if got, _ := x.Get("id-1", nil); got != synthetic {
 		t.Fatal("terminal run was not replaceable")
+	}
+}
+
+// TestResubmitOnDoneIsCacheHit: a run's Done() closes only once the run
+// is filed in the cache, so a client that resubmits the instant it sees
+// done is a cache hit — never a miss that starts a duplicate run.
+func TestResubmitOnDoneIsCacheHit(t *testing.T) {
+	x := NewIndex(NewCore(nil), "job", 4, func(r *Run[int]) string { return r.ID })
+	for i := 0; i < 1000; i++ {
+		key, id := fmt.Sprintf("key-%d", i), fmt.Sprintf("id-%d", i)
+		create := func() (*Run[int], error) { return NewRun[int](id), nil }
+		r, _, err := x.Submit(key, id, nil, create)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waiting := make(chan struct{})
+		outcome := make(chan Outcome)
+		go func() {
+			close(waiting)
+			<-r.Done()
+			_, out, _ := x.Submit(key, id, nil, create)
+			outcome <- out
+		}()
+		<-waiting
+		x.Finish(key, r, StateDone, "", nil)
+		if out := <-outcome; out != OutcomeHit {
+			t.Fatalf("iteration %d: resubmission on done got outcome %d, want a cache hit", i, out)
+		}
 	}
 }

@@ -752,8 +752,8 @@ func (m *Manager) Health() Health {
 // runJob executes one job to a terminal state and indexes the outcome.
 func (m *Manager) runJob(j *Job) {
 	if !j.Begin(nil) {
+		m.jobs.Finish(j.spec.key(), j, StateCanceled, "canceled while queued", nil)
 		m.metrics.recordRunState(store.KindJob, StateCanceled)
-		m.jobs.Finished(j.spec.key(), j)
 		return
 	}
 	start := time.Now()
@@ -762,9 +762,8 @@ func (m *Manager) runJob(j *Job) {
 		// The spec was validated at submission; a failure here is an
 		// internal inconsistency, reported on the job rather than killing
 		// the worker.
-		j.Finish(StateFailed, err.Error(), nil)
+		m.jobs.Finish(j.spec.key(), j, StateFailed, err.Error(), nil)
 		m.metrics.recordRunState(store.KindJob, StateFailed)
-		m.jobs.Finished(j.spec.key(), j)
 		return
 	}
 
@@ -778,10 +777,9 @@ func (m *Manager) runJob(j *Job) {
 	canceled := ensemble.Drive(j.Context(), el, j.target, j.budget, j.maxSnaps,
 		func() { j.record(el) })
 	if canceled {
-		j.Finish(StateCanceled, "canceled", nil)
+		m.jobs.Finish(j.spec.key(), j, StateCanceled, "canceled", nil)
 		m.metrics.recordRunState(store.KindJob, StateCanceled)
 		m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
-		m.jobs.Finished(j.spec.key(), j)
 		return
 	}
 	if last := el.Steps(); j.snapshotCount() == 1 || j.lastSnapshotStep() != last {
@@ -819,9 +817,8 @@ func (m *Manager) runJob(j *Job) {
 	res.Census, res.OmittedStates, res.OmittedAgents = topCensus(el.Census(), censusCap)
 	res.WallMillis = time.Since(start).Milliseconds()
 	res.Distribution = cluster.LocalDistribution()
-	j.Finish(StateDone, "", func() { j.result = res })
+	m.jobs.Finish(j.spec.key(), j, StateDone, "", func() { j.result = res })
 	m.metrics.recordRunState(store.KindJob, StateDone)
 	m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
-	m.jobs.Finished(j.spec.key(), j)
 	m.core.Persist(store.KindJob, j.spec.key(), j.ID, j.spec, res)
 }

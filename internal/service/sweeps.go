@@ -367,8 +367,8 @@ func (m *Manager) runSweep(s *Sweep) {
 			}
 		}
 	}) {
+		m.sweeps.Finish(key, s, StateCanceled, "canceled while queued", nil)
 		m.metrics.recordRunState(store.KindSweep, StateCanceled)
-		m.sweeps.Finished(key, s)
 		return
 	}
 	start := time.Now()
@@ -405,12 +405,11 @@ func (m *Manager) runSweep(s *Sweep) {
 	switch {
 	case err == nil:
 		summary := res.Summary
-		s.Finish(StateDone, "", func() {
+		m.sweeps.Finish(key, s, StateDone, "", func() {
 			s.summary = &summary
 			s.wallMillis = wall
 		})
 		m.metrics.recordRunState(store.KindSweep, StateDone)
-		m.sweeps.Finished(key, s)
 		var data sweepData
 		s.Locked(func() {
 			data = sweepData{Cells: append([]SweepCell(nil), s.views...), Summary: s.summary}
@@ -418,14 +417,12 @@ func (m *Manager) runSweep(s *Sweep) {
 		m.core.Persist(store.KindSweep, key, s.ID, s.spec, data)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.cancelCells(0)
-		s.Finish(StateCanceled, "canceled", func() { s.wallMillis = wall })
+		m.sweeps.Finish(key, s, StateCanceled, "canceled", func() { s.wallMillis = wall })
 		m.metrics.recordRunState(store.KindSweep, StateCanceled)
-		m.sweeps.Finished(key, s)
 	default:
 		s.cancelCells(0)
-		s.Finish(StateFailed, err.Error(), func() { s.wallMillis = wall })
+		m.sweeps.Finish(key, s, StateFailed, err.Error(), func() { s.wallMillis = wall })
 		m.metrics.recordRunState(store.KindSweep, StateFailed)
-		m.sweeps.Finished(key, s)
 	}
 }
 
@@ -507,9 +504,16 @@ func (m *Manager) runSweepCell(ctx context.Context, plan sweepCellPlan, onUpdate
 	if err != nil {
 		return ensemble.Aggregates{}, "", nil, err
 	}
-	m.metrics.recordEngineRun(plan.expSpec.Engine, ensembleInteractions(agg), time.Since(start))
-	e := finishedExperiment(plan.id, plan.expSpec, plan.espec, agg, dist, time.Since(start).Milliseconds())
-	m.exps.Finished(plan.key, e)
+	wall := time.Since(start)
+	m.metrics.recordEngineRun(plan.expSpec.Engine, ensembleInteractions(agg), wall)
+	// File the cell as a finished experiment, so a later POST
+	// /v1/experiments of the same spec is a cache hit.
+	e := &Experiment{Run: runcore.NewRun[ensemble.Aggregates](plan.id), spec: plan.expSpec, espec: plan.espec}
+	m.exps.Finish(plan.key, e, StateDone, "", func() {
+		e.agg = &agg
+		e.dist = dist
+		e.wallMillis = wall.Milliseconds()
+	})
 	m.core.Persist(store.KindExperiment, plan.key, plan.id, plan.expSpec, agg)
 	return agg, "run", dist, nil
 }
