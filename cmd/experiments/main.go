@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"popproto/internal/cliflags"
+	"popproto/internal/ensemble"
 	"popproto/internal/harness"
 	"popproto/internal/pp"
 )
@@ -52,7 +53,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := cliflags.CheckCI(*ci); err != nil {
+	if err := ensemble.CheckCI(*ci); err != nil {
 		return err
 	}
 

@@ -82,14 +82,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if engine == pp.EngineAuto {
-		resolved, err := registry.ResolveEngine(registry.Spec{Protocol: *protocol, N: *n, Engine: engine})
-		if err != nil {
-			return err
-		}
-		engine = resolved.Engine
+	resolved, err := registry.ResolveEngine(registry.Spec{Protocol: *protocol, N: *n, Engine: engine})
+	if err != nil {
+		return err
 	}
-	if err := cliflags.CheckCI(*ciTarget); err != nil {
+	engine = resolved.Engine
+	if err := ensemble.CheckCI(*ciTarget); err != nil {
 		return err
 	}
 	if *ciTarget > 0 && *replicates < 2 {

@@ -62,9 +62,6 @@ func run(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := cliflags.CheckCI(*ciTarget); err != nil {
-		return err
-	}
 	engine, err := pp.ParseEngine(*engineName)
 	if err != nil {
 		return err

@@ -2,15 +2,14 @@
 // simulation front-ends (cmd/leaderelect, cmd/experiments, cmd/sweep):
 // engine selection with the catalog-derived usage text, protocol keys,
 // ensemble replicate counts, CI early-stop targets, and worker counts.
-// Registering them here keeps spellings, defaults documentation and
-// validation identical across the commands — and means a new engine or
+// Registering them here keeps spellings and defaults documentation
+// identical across the commands — and means a new engine or
 // the "auto" pseudo-engine appears in every command's help the moment
 // it exists.
 package cliflags
 
 import (
 	"flag"
-	"fmt"
 	"strings"
 
 	"popproto/internal/pp"
@@ -41,18 +40,10 @@ func Replicates(fs *flag.FlagSet, def int, purpose string) *int {
 
 // CI registers -ci with the shared early-stop contract: a relative 95%
 // CI half-width target on the mean stabilization time, 0 disabling
-// early stopping.
+// early stopping. ensemble.CheckCI validates it.
 func CI(fs *flag.FlagSet) *float64 {
 	return fs.Float64("ci", 0,
 		"ensemble early-stop target: relative 95% CI half-width of the mean time (0 = run every replicate)")
-}
-
-// CheckCI enforces the shared [0, 1) contract on a parsed -ci value.
-func CheckCI(ci float64) error {
-	if ci < 0 || ci >= 1 {
-		return fmt.Errorf("-ci %g outside [0, 1) (it is a relative CI half-width)", ci)
-	}
-	return nil
 }
 
 // Workers registers -workers with the shared default doc.

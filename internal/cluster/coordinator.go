@@ -447,8 +447,7 @@ func (c *Coordinator) foldLocked(r *run) {
 		if r.onUpdate != nil {
 			r.onUpdate(r.folded.Aggregates(r.spec.Replicates, false))
 		}
-		if r.spec.CITarget > 0 && r.folded.Count >= r.spec.MinReplicates &&
-			r.folded.RelHalfWidth() <= r.spec.CITarget {
+		if r.spec.StopEarly(r.folded) {
 			r.early = true
 			for _, rest := range r.ranges[r.nextFold:] {
 				if rest.state != rangeDone {

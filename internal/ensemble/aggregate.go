@@ -1,7 +1,5 @@
 package ensemble
 
-import "math"
-
 // Replicate is the outcome of one independent run of an ensemble. It is
 // the per-run record streamed into the online aggregators; everything in
 // it is part of the deterministic surface (no wall-clock times).
@@ -133,16 +131,6 @@ func (a *aggregator) count() int {
 		n += a.cur.Count
 	}
 	return n
-}
-
-// relHalfWidth returns the early-stopping criterion over the folded
-// prefix (+Inf before any range completes). It is only consulted at
-// range boundaries, where the folded prefix is the whole state.
-func (a *aggregator) relHalfWidth() float64 {
-	if a.folded == nil {
-		return math.Inf(1)
-	}
-	return a.folded.RelHalfWidth()
 }
 
 // aggregates renders the current state as an Aggregates snapshot,

@@ -16,6 +16,14 @@
 // beyond what a registry election reports fan out through Dispatch, the
 // same worker pool with the same seeds and the same in-order fold.
 //
+// Canonicalize is the one resolver of what an ensemble spec means —
+// engine "auto", the derived seed, the default budget, the replicate,
+// CI and early-stop floor rules — for every frontend: popprotod's jobs,
+// experiments and sweep cells, the sweep package, and the command-line
+// tools. The result cache, the durable store and cluster dedup find a
+// run by a key rendered from its canonical spec, so no frontend keeps a
+// copy of these rules.
+//
 // Determinism is a first-class contract, at two levels:
 //
 //   - Replicate level: replicate r of an ensemble with base seed s runs
@@ -136,10 +144,10 @@ type Spec struct {
 	// CITarget, when positive, enables early stopping: once at least
 	// MinReplicates replicates are incorporated and the relative 95% CI
 	// half-width of the mean parallel time drops to CITarget or below,
-	// the remaining replicates are skipped.
+	// the remaining replicates are skipped (StopEarly). Must be < 1.
 	CITarget float64
 	// MinReplicates is the floor before early stopping may trigger
-	// (0 = 16). Ignored without a CITarget.
+	// (0 = 16). Canonicalized to 0 without a CITarget.
 	MinReplicates int
 	// ObsCap is Drive's observation cap (0 = DefaultObsCap). The
 	// popprotod experiment runner passes its snapshot cap here so
@@ -151,25 +159,39 @@ type Spec struct {
 const DefaultMinReplicates = 16
 
 // Canonicalize validates spec against the registry and resolves its
-// defaults (base seed, budget, early-stop floor), returning the
-// canonical spec and the catalog entry. Errors wrap registry.ErrBadSpec.
+// defaults, returning the canonical spec and the catalog entry. It is
+// the one place an ensemble spec's meaning is resolved — popprotod's
+// jobs (one-replicate ensembles), experiments and sweep cells, the
+// sweep package and the command-line tools all canonicalize through it:
+//
+//   - replicates >= 1, ci target in [0, 1), min-replicates >= 0;
+//   - engine "auto" resolves to the registry's recommendation, before
+//     the seed derivation, so an "auto" ensemble is bit-identical to the
+//     explicit ensemble it resolves to;
+//   - seed 0 derives the base seed from the rest of the spec
+//     (DeriveSeed);
+//   - budget 0 is the catalog entry's StepBudget (Entry.Budget applies
+//     a parallel-time cap);
+//   - the early-stop floor is DefaultMinReplicates when a CI target is
+//     set without one, and 0 without a CI target.
+//
+// Errors wrap registry.ErrBadSpec.
 func Canonicalize(spec Spec) (Spec, registry.Entry, error) {
 	if spec.Replicates < 1 {
 		return Spec{}, registry.Entry{}, fmt.Errorf(
 			"%w: ensemble needs replicates >= 1 (got %d)", registry.ErrBadSpec, spec.Replicates)
 	}
-	if spec.CITarget < 0 {
+	if err := CheckCI(spec.CITarget); err != nil {
+		return Spec{}, registry.Entry{}, err
+	}
+	if spec.MinReplicates < 0 {
 		return Spec{}, registry.Entry{}, fmt.Errorf(
-			"%w: negative ci target %g", registry.ErrBadSpec, spec.CITarget)
+			"%w: negative minReplicates %d", registry.ErrBadSpec, spec.MinReplicates)
 	}
 	entry, err := registry.Validate(spec.Registry)
 	if err != nil {
 		return Spec{}, registry.Entry{}, err
 	}
-	// Resolve the pseudo-engine "auto" before the seed derivation below:
-	// the derived seed is a function of the concrete engine name, so an
-	// "auto" ensemble must be bit-identical to the explicit ensemble it
-	// resolves to.
 	if spec.Registry, err = registry.ResolveEngine(spec.Registry); err != nil {
 		return Spec{}, registry.Entry{}, err
 	}
@@ -180,13 +202,37 @@ func Canonicalize(spec Spec) (Spec, registry.Entry, error) {
 	if spec.Budget == 0 {
 		spec.Budget = entry.StepBudget(spec.Registry.N)
 	}
-	if spec.MinReplicates <= 0 {
+	switch {
+	case spec.CITarget == 0:
+		spec.MinReplicates = 0
+	case spec.MinReplicates == 0:
 		spec.MinReplicates = DefaultMinReplicates
 	}
 	if spec.ObsCap <= 0 {
 		spec.ObsCap = DefaultObsCap
 	}
 	return spec, entry, nil
+}
+
+// CheckCI enforces the early-stop target's [0, 1) contract: it is a
+// relative CI half-width, and 0 disables early stopping.
+func CheckCI(ci float64) error {
+	if !(ci >= 0 && ci < 1) {
+		return fmt.Errorf(
+			"%w: ci target %g outside [0, 1) (it is a relative CI half-width; 0 disables early stopping)",
+			registry.ErrBadSpec, ci)
+	}
+	return nil
+}
+
+// StopEarly reports whether the ensemble may stop after the folded
+// prefix p: a CI target is set, p holds at least MinReplicates
+// replicates, and its relative CI half-width has reached the target.
+// Run and the cluster coordinator both decide through it, at canonical
+// range boundaries, which is what keeps local and distributed
+// early-stopped aggregates bit-identical.
+func (s Spec) StopEarly(p *Partial) bool {
+	return s.CITarget > 0 && p != nil && p.Count >= s.MinReplicates && p.RelHalfWidth() <= s.CITarget
 }
 
 // Options configures an ensemble run.
@@ -333,8 +379,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 		if opts.OnUpdate != nil {
 			opts.OnUpdate(agg.aggregates())
 		}
-		if rangeClosed && spec.CITarget > 0 && agg.count() >= spec.MinReplicates &&
-			agg.relHalfWidth() <= spec.CITarget {
+		if rangeClosed && spec.StopEarly(agg.folded) {
 			agg.early = true
 			return true // skip the remaining replicates
 		}

@@ -46,9 +46,6 @@ func newSketch(capacity int) *Sketch {
 // Count returns the number of values added (with multiplicity).
 func (s *Sketch) Count() uint64 { return s.count }
 
-// Cap returns the per-level buffer capacity.
-func (s *Sketch) Cap() int { return s.cap }
-
 // Clone returns an independent deep copy of the sketch.
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{count: s.count, cap: s.cap}

@@ -6,6 +6,7 @@ import (
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
+	"popproto/internal/registry"
 	"popproto/internal/rng"
 	"popproto/internal/stats"
 	"popproto/internal/table"
@@ -101,8 +102,10 @@ func backupExperiment() Experiment {
 		desyncProto := core.New(desyncParams)
 		desyncTimes := make([]float64, 0, desyncReps)
 		desyncOK := true
+		// "pll" is in the catalog, so resolution cannot fail.
+		desync, _ := registry.ResolveEngine(registry.Spec{Protocol: "pll", N: desyncN, Engine: cfg.Engine})
 		replicate(cfg, cfg.Seed+999, desyncReps, func(seed uint64) func() {
-			sim := pp.NewRunner[core.State](engineFor(cfg, desyncN), desyncProto, desyncN, seed)
+			sim := pp.NewRunner[core.State](desync.Engine, desyncProto, desyncN, seed)
 			_, ok := sim.RunUntilLeaders(1, uint64(desyncN)*uint64(desyncN)*uint64(desyncN)*8)
 			t := sim.ParallelTime()
 			return func() {

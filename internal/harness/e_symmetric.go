@@ -36,10 +36,10 @@ func symmetricExperiment() Experiment {
 		for i, n := range ns {
 			asym := measureEnsemble(cfg, registry.Spec{
 				Protocol: "pll", N: n, Engine: cfg.Engine, Seed: cfg.Seed + uint64(i),
-			}, repCount, logBudget(n))
+			}, repCount, 0)
 			sym := measureEnsemble(cfg, registry.Spec{
 				Protocol: "pll-sym", N: n, Engine: cfg.Engine, Seed: cfg.Seed + uint64(i) + 31,
-			}, repCount, 40*logBudget(n))
+			}, repCount, 0)
 			allOK = allOK && asym.Stabilized == asym.Replicates && sym.Stabilized == sym.Replicates
 			a, s := asym.MeanParallelTime, sym.MeanParallelTime
 			tbl.AddRowf(n, f1(a), f1(s), f2(s/a))

@@ -53,7 +53,7 @@ func table1Rows() []protocolRow {
 			measure: func(cfg Config, n, rep int, seed uint64) (float64, float64, int, bool) {
 				agg := measureEnsemble(cfg, registry.Spec{
 					Protocol: entry.Key, N: n, Engine: cfg.Engine, Seed: seed,
-				}, rep, entry.StepBudget(n))
+				}, rep, 0)
 				allOK := agg.Stabilized == agg.Replicates
 				return agg.MeanParallelTime, ciHalf(agg), entry.StateCount(n, 0), allOK
 			},

@@ -32,10 +32,10 @@ func table2Experiment() Experiment {
 		for i, n := range ns {
 			angAgg := measureEnsemble(cfg, registry.Spec{
 				Protocol: "angluin", N: n, Engine: cfg.Engine, Seed: cfg.Seed + uint64(i),
-			}, rep, linearBudget(n))
+			}, rep, 0)
 			pllAgg := measureEnsemble(cfg, registry.Spec{
 				Protocol: "pll", N: n, Engine: cfg.Engine, Seed: cfg.Seed + uint64(i) + 7_777,
-			}, rep, logBudget(n))
+			}, rep, 0)
 			ang := angAgg.MeanParallelTime
 			pll := pllAgg.MeanParallelTime
 			lg := float64(core.CeilLog2(n))

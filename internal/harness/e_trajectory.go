@@ -7,6 +7,7 @@ import (
 	"popproto/internal/asciichart"
 	"popproto/internal/core"
 	"popproto/internal/pp"
+	"popproto/internal/registry"
 	"popproto/internal/trace"
 )
 
@@ -26,7 +27,9 @@ func trajectoryExperiment() Experiment {
 			n = 512
 		}
 		p := core.NewForN(n)
-		sim := pp.NewRunner[core.State](engineFor(cfg, n), p, n, cfg.Seed)
+		// "pll" is in the catalog, so resolution cannot fail.
+		spec, _ := registry.ResolveEngine(registry.Spec{Protocol: "pll", N: n, Engine: cfg.Engine})
+		sim := pp.NewRunner[core.State](spec.Engine, p, n, cfg.Seed)
 		rec := trace.NewRecorder(sim, 1.0,
 			trace.LeaderProbe[core.State](),
 			trace.CountProbe[core.State]("unassigned (V_X)", func(s core.State) bool {

@@ -25,9 +25,6 @@ func summarizeOr(xs []float64) stats.Summary {
 // with it) so the two cannot drift.
 func logBudget(n int) uint64 { return registry.LogBudget(n) }
 
-// linearBudget is the step cap for Θ(n)-parallel-time protocols.
-func linearBudget(n int) uint64 { return registry.LinearBudget(n) }
-
 // runUntil advances sim in checkEvery-step slices until pred holds or the
 // step budget is exhausted, returning the step count at which pred was
 // first observed and whether it was.
@@ -49,17 +46,15 @@ func runUntil[S comparable](
 // spec through the shared replication executor — multi-core fan-out,
 // Welford aggregation with 95% CIs, quantile sketch — and returns the
 // aggregates. cfg.Replicates overrides rep; cfg.CITarget enables early
-// stopping. Every cell that measures a plain registry spec (Table 1/2,
+// stopping; budget 0 is the catalog entry's default, the budget
+// /v1/experiments runs without a maxParallelTime. Every cell that measures a plain registry spec (Table 1/2,
 // Theorem 1, the symmetric comparison, the ablation's m sweep) goes
 // through this, so its numbers are the aggregates popprotod's
 // /v1/experiments serves for the same spec.
 func measureEnsemble(cfg Config, spec registry.Spec, rep int, budget uint64) ensemble.Aggregates {
-	if cfg.Replicates > 0 {
-		rep = cfg.Replicates
-	}
 	res, err := ensemble.Run(context.Background(), ensemble.Spec{
 		Registry:   spec,
-		Replicates: rep,
+		Replicates: cellReps(cfg, rep),
 		Budget:     budget,
 		CITarget:   cfg.CITarget,
 	}, ensemble.Options{Workers: cfg.Workers})
@@ -83,22 +78,6 @@ func cellReps(cfg Config, rep int) int {
 		return cfg.Replicates
 	}
 	return rep
-}
-
-// engineFor resolves cfg.Engine for direct pp-level measurements of the
-// PLL family: concrete engines pass through, and the pseudo-engine
-// "auto" takes the registry's recommendation for population size n (the
-// same resolution ensemble-executed cells get via ensemble.Canonicalize,
-// so one -engine auto run is consistent across both measurement paths).
-func engineFor(cfg Config, n int) pp.Engine {
-	if cfg.Engine != pp.EngineAuto {
-		return cfg.Engine
-	}
-	entry, ok := registry.Lookup("pll")
-	if !ok {
-		return pp.EngineAgent
-	}
-	return entry.RecommendedEngine(n)
 }
 
 // replicate runs repCount instrumented runs through the ensemble

@@ -57,10 +57,10 @@ func TestBudgetsGrow(t *testing.T) {
 	if logBudget(1024) >= logBudget(4096) {
 		t.Fatal("log budget not increasing")
 	}
-	if linearBudget(1024) >= linearBudget(4096) {
+	if registry.LinearBudget(1024) >= registry.LinearBudget(4096) {
 		t.Fatal("linear budget not increasing")
 	}
-	if linearBudget(4096) <= logBudget(4096) {
+	if registry.LinearBudget(4096) <= logBudget(4096) {
 		t.Fatal("linear budget should exceed log budget at scale")
 	}
 }

@@ -657,9 +657,3 @@ func (r *Registry) Handler() http.Handler {
 		_, _ = w.Write(b.Bytes())
 	})
 }
-
-// Default is the package-level registry, for processes that want one
-// shared exposition without threading a *Registry through construction.
-// popprotod builds its own instead, so tests can run many managers in
-// one process without name collisions.
-var Default = NewRegistry()

@@ -135,6 +135,24 @@ func (e Entry) SuitableEngines() []pp.Engine {
 // the service uses it as the default job budget.
 func (e Entry) StepBudget(n int) uint64 { return e.budget(n) }
 
+// Budget returns the step budget of a run capped at maxParallelTime
+// parallel time units: StepBudget(n) when the cap is 0, else the cap in
+// steps if that is smaller. The cap can only shorten a run — the
+// default is already thousands of expected stabilization times, and an
+// unbounded client value would pin a worker near-forever (and overflow
+// the float→uint64 conversion). It is the one budget rule of jobs,
+// experiments and sweep cells; a negative cap wraps ErrBadSpec.
+func (e Entry) Budget(n int, maxParallelTime float64) (uint64, error) {
+	if maxParallelTime < 0 {
+		return 0, fmt.Errorf("%w: negative maxParallelTime %g", ErrBadSpec, maxParallelTime)
+	}
+	budget := e.StepBudget(n)
+	if steps := maxParallelTime * float64(n); maxParallelTime > 0 && steps < float64(budget) {
+		budget = uint64(steps)
+	}
+	return budget, nil
+}
+
 // LogBudget caps (poly)logarithmic-time protocols: thousands of expected
 // stabilization times of headroom, so a non-stabilizing verdict is
 // meaningful. It is the shared definition the experiment harness budgets

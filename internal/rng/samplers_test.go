@@ -208,107 +208,6 @@ func TestHypergeometricEdges(t *testing.T) {
 	}()
 }
 
-// TestMultinomialJoint checks the full joint distribution on a small case
-// by χ² over all compositions of n into 3 categories.
-func TestMultinomialJoint(t *testing.T) {
-	const (
-		n    = 5
-		reps = 300_000
-	)
-	weights := []float64{0.2, 0.5, 0.3}
-	r := rng.New(21)
-	obs := make(map[[3]uint64]float64)
-	var dst []uint64
-	for i := 0; i < reps; i++ {
-		dst = r.Multinomial(n, weights, dst)
-		if dst[0]+dst[1]+dst[2] != n {
-			t.Fatalf("Multinomial counts sum to %d, want %d", dst[0]+dst[1]+dst[2], n)
-		}
-		obs[[3]uint64{dst[0], dst[1], dst[2]}]++
-	}
-	var o, e []float64
-	lnFact := func(k uint64) float64 { v, _ := math.Lgamma(float64(k + 1)); return v }
-	for a := uint64(0); a <= n; a++ {
-		for b := uint64(0); a+b <= n; b++ {
-			c := n - a - b
-			logp := lnFact(n) - lnFact(a) - lnFact(b) - lnFact(c) +
-				float64(a)*math.Log(weights[0]) + float64(b)*math.Log(weights[1]) +
-				float64(c)*math.Log(weights[2])
-			o = append(o, obs[[3]uint64{a, b, c}])
-			e = append(e, reps*math.Exp(logp))
-		}
-	}
-	po, pe := poolSparseCells(o, e)
-	gof := stats.ChiSquareGOF(po, pe)
-	if gof.P < gofLevel {
-		t.Fatalf("multinomial joint distribution mismatch: %v", gof)
-	}
-}
-
-// TestMultinomialMarginal checks a large-n marginal (which must be
-// binomial) and zero-weight handling.
-func TestMultinomialMarginal(t *testing.T) {
-	weights := []float64{1, 0, 3, 6}
-	r := rng.New(22)
-	var dst []uint64
-	gofAgainstPMF(t, "marginal", 100_000, 400,
-		func(k uint64) float64 { return binomialPMF(400, 0.3, k) },
-		func() uint64 {
-			dst = r.Multinomial(400, weights, dst)
-			if dst[1] != 0 {
-				t.Fatal("zero-weight category received trials")
-			}
-			if dst[0]+dst[2]+dst[3] != 400 {
-				t.Fatal("multinomial counts do not sum to n")
-			}
-			return dst[2]
-		})
-}
-
-// TestMultiHypergeometricJoint checks the joint law on a small case
-// against the exact multivariate hypergeometric pmf.
-func TestMultiHypergeometricJoint(t *testing.T) {
-	const reps = 300_000
-	counts := []int64{3, 0, 5, 4}
-	const sample = 6
-	r := rng.New(23)
-	obs := make(map[[4]int64]float64)
-	var dst []int64
-	for i := 0; i < reps; i++ {
-		dst = r.MultiHypergeometric(sample, counts, dst)
-		var sum int64
-		for j, d := range dst {
-			if d < 0 || d > counts[j] {
-				t.Fatalf("component %d = %d outside [0, %d]", j, d, counts[j])
-			}
-			sum += d
-		}
-		if sum != sample {
-			t.Fatalf("sampled %d items, want %d", sum, sample)
-		}
-		obs[[4]int64{dst[0], dst[1], dst[2], dst[3]}]++
-	}
-	var o, e []float64
-	denom := lchoose(12, sample)
-	for a := int64(0); a <= 3; a++ {
-		for c := int64(0); c <= 5; c++ {
-			d := sample - a - c
-			if d < 0 || d > 4 {
-				continue
-			}
-			logp := lchoose(3, float64(a)) + lchoose(5, float64(c)) +
-				lchoose(4, float64(d)) - denom
-			o = append(o, obs[[4]int64{a, 0, c, d}])
-			e = append(e, reps*math.Exp(logp))
-		}
-	}
-	po, pe := poolSparseCells(o, e)
-	gof := stats.ChiSquareGOF(po, pe)
-	if gof.P < gofLevel {
-		t.Fatalf("multivariate hypergeometric joint mismatch: %v", gof)
-	}
-}
-
 // TestSamplersDeterministic: identical seeds must yield identical draw
 // sequences for every sampler (the property the simulation engines'
 // reproducibility contract rests on).
@@ -319,16 +218,9 @@ func TestSamplersDeterministic(t *testing.T) {
 		da = append(da, a.Binomial(1000, 0.25), a.Hypergeometric(50, 300, 1000), a.Geometric(0.01))
 		db = append(db, b.Binomial(1000, 0.25), b.Hypergeometric(50, 300, 1000), b.Geometric(0.01))
 	}
-	ma := a.Multinomial(100, []float64{1, 2, 3}, nil)
-	mb := b.Multinomial(100, []float64{1, 2, 3}, nil)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("draw %d differs under identical seeds: %d vs %d", i, da[i], db[i])
-		}
-	}
-	for i := range ma {
-		if ma[i] != mb[i] {
-			t.Fatalf("multinomial component %d differs under identical seeds", i)
 		}
 	}
 }

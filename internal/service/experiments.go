@@ -9,7 +9,6 @@ import (
 
 	"popproto/internal/cluster"
 	"popproto/internal/ensemble"
-	"popproto/internal/registry"
 	"popproto/internal/service/runcore"
 	"popproto/internal/store"
 )
@@ -44,13 +43,14 @@ type ExperimentSpec struct {
 	// the relative 95% CI half-width of the mean parallel time is ≤ CI
 	// (after MinReplicates replicates). Must be < 1.
 	CI float64 `json:"ci,omitempty"`
-	// MinReplicates is the early-stop floor (0 = 16); ignored without CI.
+	// MinReplicates is the early-stop floor (0 = 16; canonicalized to 0
+	// without CI).
 	MinReplicates int `json:"minReplicates,omitempty"`
 }
 
-// jobPart projects the experiment's shared fields onto a JobSpec so the
-// canonicalization (defaults, limits, budget clamping) is exactly the
-// single-job one.
+// jobPart projects the experiment's shared fields onto a JobSpec: an
+// experiment resolves exactly as the single job over the same spec does
+// (Manager.resolve), and its key extends that job's key.
 func (s ExperimentSpec) jobPart() JobSpec {
 	return JobSpec{
 		Protocol:        s.Protocol,
@@ -59,6 +59,23 @@ func (s ExperimentSpec) jobPart() JobSpec {
 		Seed:            s.Seed,
 		M:               s.M,
 		MaxParallelTime: s.MaxParallelTime,
+	}
+}
+
+// experimentSpec renders the canonical wire spec of a canonical ensemble
+// spec. maxParallelTime is the requested cap, which the key carries as
+// given (Entry.Budget resolves it into e.Budget).
+func experimentSpec(e ensemble.Spec, maxParallelTime float64) ExperimentSpec {
+	return ExperimentSpec{
+		Protocol:        e.Registry.Protocol,
+		N:               e.Registry.N,
+		Engine:          e.Registry.Engine.String(),
+		Seed:            e.Registry.Seed,
+		M:               e.Registry.M,
+		MaxParallelTime: maxParallelTime,
+		Replicates:      e.Replicates,
+		CI:              e.CITarget,
+		MinReplicates:   e.MinReplicates,
 	}
 }
 
@@ -163,53 +180,20 @@ func (e *Experiment) update(agg ensemble.Aggregates) {
 	e.Publish(agg, func() { e.agg = &cp })
 }
 
-// CanonicalizeExperiment resolves an ExperimentSpec's defaults and
-// validates it against the registry and the manager's limits, returning
-// the canonical spec and the resolved ensemble spec. Errors wrap
-// registry.ErrBadSpec.
+// CanonicalizeExperiment resolves an ExperimentSpec through
+// ensemble.Canonicalize (with the server's defaults and limits, see
+// Manager.resolve), returning the canonical spec and the resolved
+// ensemble spec. Errors wrap registry.ErrBadSpec.
 func (m *Manager) CanonicalizeExperiment(spec ExperimentSpec) (ExperimentSpec, ensemble.Spec, error) {
-	if spec.Replicates < 1 {
-		return ExperimentSpec{}, ensemble.Spec{}, fmt.Errorf(
-			"%w: experiment needs replicates >= 1 (got %d)", registry.ErrBadSpec, spec.Replicates)
-	}
-	if spec.Replicates > m.opts.MaxReplicates {
-		return ExperimentSpec{}, ensemble.Spec{}, fmt.Errorf(
-			"%w: %d replicates exceed this server's limit of %d",
-			registry.ErrBadSpec, spec.Replicates, m.opts.MaxReplicates)
-	}
-	if spec.CI < 0 || spec.CI >= 1 {
-		return ExperimentSpec{}, ensemble.Spec{}, fmt.Errorf(
-			"%w: ci target %g outside [0, 1) (it is a relative CI half-width; 0 disables early stopping)",
-			registry.ErrBadSpec, spec.CI)
-	}
-	if spec.MinReplicates < 0 {
-		return ExperimentSpec{}, ensemble.Spec{}, fmt.Errorf(
-			"%w: negative minReplicates %d", registry.ErrBadSpec, spec.MinReplicates)
-	}
-	canonJob, rspec, _, budget, err := m.Canonicalize(spec.jobPart())
+	espec, _, err := m.resolve(spec.jobPart(), ensemble.Spec{
+		Replicates:    spec.Replicates,
+		CITarget:      spec.CI,
+		MinReplicates: spec.MinReplicates,
+	})
 	if err != nil {
 		return ExperimentSpec{}, ensemble.Spec{}, err
 	}
-	spec.Engine = canonJob.Engine
-	spec.Seed = canonJob.Seed
-	if spec.CI > 0 && spec.MinReplicates == 0 {
-		spec.MinReplicates = ensemble.DefaultMinReplicates
-	}
-	if spec.CI == 0 {
-		spec.MinReplicates = 0
-	}
-	espec := ensemble.Spec{
-		Registry:      rspec,
-		Replicates:    spec.Replicates,
-		Budget:        budget,
-		CITarget:      spec.CI,
-		MinReplicates: spec.MinReplicates,
-		// The job trajectory cap doubles as the drive schedule's
-		// observation cap; sharing it keeps replicate 0 bit-identical to
-		// the single job.
-		ObsCap: m.opts.MaxSnapshots,
-	}
-	return spec, espec, nil
+	return experimentSpec(espec, spec.MaxParallelTime), espec, nil
 }
 
 // SubmitExperiment canonicalizes spec and returns the experiment serving

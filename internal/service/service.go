@@ -111,15 +111,6 @@ func runID(prefix, key string) string {
 	return fmt.Sprintf("%s%016x", prefix, h.Sum64())
 }
 
-// deriveSeed maps a canonical spec (minus the seed) to a deterministic
-// scheduler seed. The derivation lives in the ensemble package so that a
-// seedless job and replicate 0 of a seedless experiment over the same
-// spec run with the same seed — and therefore produce bit-identical
-// results (ensemble.ReplicateSeed(base, 0) == base).
-func deriveSeed(s JobSpec) uint64 {
-	return ensemble.DeriveSeed(s.Protocol, s.N, s.Engine, s.M)
-}
-
 // censusCap bounds the number of distinct states reported per census in
 // results and snapshots; protocols like MaxID have Θ(n) live states and
 // would otherwise dominate every payload.
@@ -541,63 +532,66 @@ func (m *Manager) Close() {
 	m.sched.Close()
 }
 
-// Canonicalize resolves a JobSpec's defaults (engine, seed, budget) and
-// validates it against the registry and the manager's limits, returning
-// the canonical spec, the resolved registry spec, the stabilization
-// target, and the step budget. The pseudo-engine "auto" is resolved to
-// the registry's recommendation here, so canonical specs — and with
-// them cache keys and derived seeds — always name a concrete engine.
-// Errors wrap registry.ErrBadSpec.
+// Canonicalize resolves a JobSpec and validates it against the registry
+// and the manager's limits, returning the canonical spec, the resolved
+// registry spec, the stabilization target, and the step budget. A job is
+// a one-replicate ensemble, so its meaning — "auto" resolved to a
+// concrete engine, the derived seed, the budget — is resolved by
+// ensemble.Canonicalize exactly as replicate 0 of the experiment over
+// the same spec is (see resolve). Errors wrap registry.ErrBadSpec.
 func (m *Manager) Canonicalize(spec JobSpec) (JobSpec, registry.Spec, int, uint64, error) {
-	if spec.Engine == "" {
-		spec.Engine = pp.EngineCount.String()
-	}
-	engine, err := pp.ParseEngine(spec.Engine)
-	if err != nil {
-		return JobSpec{}, registry.Spec{}, 0, 0, fmt.Errorf("%w: %v", registry.ErrBadSpec, err)
-	}
-	if engine == pp.EngineAuto {
-		resolved, err := registry.ResolveEngine(registry.Spec{Protocol: spec.Protocol, N: spec.N, Engine: engine})
-		if err != nil {
-			return JobSpec{}, registry.Spec{}, 0, 0, err
-		}
-		engine = resolved.Engine
-		spec.Engine = engine.String()
-	}
-	if limit := m.engineLimit(engine); spec.N > limit {
-		return JobSpec{}, registry.Spec{}, 0, 0, fmt.Errorf(
-			"%w: population size %d exceeds this server's %s-engine limit of %d (the census-based engines accept the largest populations)",
-			registry.ErrBadSpec, spec.N, engine, limit)
-	}
-	if spec.MaxParallelTime < 0 {
-		return JobSpec{}, registry.Spec{}, 0, 0, fmt.Errorf(
-			"%w: negative maxParallelTime %g", registry.ErrBadSpec, spec.MaxParallelTime)
-	}
-	if spec.Seed == 0 {
-		spec.Seed = deriveSeed(spec)
-	}
-	rspec := registry.Spec{
-		Protocol: spec.Protocol,
-		N:        spec.N,
-		Engine:   engine,
-		Seed:     spec.Seed,
-		M:        spec.M,
-	}
-	entry, err := registry.Validate(rspec)
+	espec, entry, err := m.resolve(spec, ensemble.Spec{Replicates: 1})
 	if err != nil {
 		return JobSpec{}, registry.Spec{}, 0, 0, err
 	}
-	budget := entry.StepBudget(spec.N)
-	if spec.MaxParallelTime > 0 {
-		// The override can only shorten the run: the registry default is
-		// already thousands of expected stabilization times, and an
-		// uncapped client value would let one request pin a worker
-		// near-forever (and overflow the float→uint64 conversion).
-		if steps := spec.MaxParallelTime * float64(spec.N); steps < float64(budget) {
-			budget = uint64(steps)
-		}
+	spec.Engine = espec.Registry.Engine.String()
+	spec.Seed = espec.Registry.Seed
+	return spec, espec.Registry, entry.Target, espec.Budget, nil
+}
+
+// resolve canonicalizes the run that job describes, with the ensemble
+// knobs (replicates, CI target, floor) of e, through
+// ensemble.Canonicalize, and keeps only the server's part here: the
+// wire default engine ("" = count), the observation cap, the
+// maxParallelTime cap (registry.Entry.Budget) and the server limits.
+func (m *Manager) resolve(job JobSpec, e ensemble.Spec) (ensemble.Spec, registry.Entry, error) {
+	if job.Engine == "" {
+		job.Engine = pp.EngineCount.String()
 	}
-	return spec, rspec, entry.Target, budget, nil
+	engine, err := pp.ParseEngine(job.Engine)
+	if err != nil {
+		return ensemble.Spec{}, registry.Entry{}, fmt.Errorf("%w: %v", registry.ErrBadSpec, err)
+	}
+	e.Registry = registry.Spec{Protocol: job.Protocol, N: job.N, Engine: engine, Seed: job.Seed, M: job.M}
+	// The job trajectory cap doubles as the drive schedule's observation
+	// cap; sharing it keeps replicate 0 bit-identical to the single job.
+	e.ObsCap = m.opts.MaxSnapshots
+	e, entry, err := ensemble.Canonicalize(e)
+	if err == nil {
+		e.Budget, err = entry.Budget(job.N, job.MaxParallelTime)
+	}
+	if err == nil {
+		err = m.checkLimits(e)
+	}
+	if err != nil {
+		return ensemble.Spec{}, registry.Entry{}, err
+	}
+	return e, entry, nil
+}
+
+// checkLimits applies the server's limits to a canonical ensemble spec:
+// the per-engine population cap and the replicate cap.
+func (m *Manager) checkLimits(e ensemble.Spec) error {
+	if limit := m.engineLimit(e.Registry.Engine); e.Registry.N > limit {
+		return fmt.Errorf(
+			"%w: population size %d exceeds this server's %s-engine limit of %d (the census-based engines accept the largest populations)",
+			registry.ErrBadSpec, e.Registry.N, e.Registry.Engine, limit)
+	}
+	if e.Replicates > m.opts.MaxReplicates {
+		return fmt.Errorf("%w: %d replicates exceed this server's limit of %d",
+			registry.ErrBadSpec, e.Replicates, m.opts.MaxReplicates)
+	}
+	return nil
 }
 
 // engineLimit returns the population cap for the given engine: per-agent

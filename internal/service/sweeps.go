@@ -113,7 +113,8 @@ type sweepData struct {
 type Sweep struct {
 	*runcore.Run[SweepCell]
 
-	spec  SweepSpec // canonicalized
+	spec  SweepSpec  // canonicalized
+	run   sweep.Spec // the canonical sweep.Spec sweep.Run executes
 	cells []sweepCellPlan
 
 	// Guarded by the embedded Run's lock.
@@ -123,11 +124,10 @@ type Sweep struct {
 }
 
 // sweepCellPlan is the execution plan of one cell: its grid identity
-// plus the canonical experiment it is equivalent to.
+// and canonical ensemble spec plus the standalone experiment it is.
 type sweepCellPlan struct {
 	cell    sweep.Cell
 	expSpec ExperimentSpec // canonical
-	espec   ensemble.Spec
 	key     string
 	id      string
 }
@@ -203,19 +203,20 @@ func (s *Sweep) updateCell(c SweepCell) {
 	s.Publish(c, func() { s.views[c.Index] = c })
 }
 
-// CanonicalizeSweep resolves a SweepSpec's defaults, expands and
-// validates its grid against the registry and the manager's limits, and
-// returns the canonical spec with its cell plans. Errors wrap
-// registry.ErrBadSpec.
-func (m *Manager) CanonicalizeSweep(spec SweepSpec) (SweepSpec, []sweepCellPlan, error) {
+// CanonicalizeSweep resolves a SweepSpec's wire default (engine "" =
+// "auto", resolved per cell), expands and validates its grid through
+// sweep.Canonicalize, and applies the manager's limits. It returns the
+// canonical wire spec, the canonical sweep.Spec the sweep runs, and the
+// cell plans. Errors wrap registry.ErrBadSpec.
+func (m *Manager) CanonicalizeSweep(spec SweepSpec) (SweepSpec, sweep.Spec, []sweepCellPlan, error) {
 	if spec.Engine == "" {
 		spec.Engine = pp.EngineAuto.String()
 	}
 	engine, err := pp.ParseEngine(spec.Engine)
 	if err != nil {
-		return SweepSpec{}, nil, fmt.Errorf("%w: %v", registry.ErrBadSpec, err)
+		return SweepSpec{}, sweep.Spec{}, nil, fmt.Errorf("%w: %v", registry.ErrBadSpec, err)
 	}
-	canon, cells, err := sweep.Canonicalize(sweep.Spec{
+	run, cells, err := sweep.Canonicalize(sweep.Spec{
 		Protocols:       spec.Protocols,
 		Ns:              spec.Ns,
 		Ms:              spec.Ms,
@@ -228,47 +229,30 @@ func (m *Manager) CanonicalizeSweep(spec SweepSpec) (SweepSpec, []sweepCellPlan,
 		ObsCap:          m.opts.MaxSnapshots,
 	})
 	if err != nil {
-		return SweepSpec{}, nil, err
+		return SweepSpec{}, sweep.Spec{}, nil, err
 	}
 	if len(cells) > m.opts.MaxSweepCells {
-		return SweepSpec{}, nil, fmt.Errorf(
+		return SweepSpec{}, sweep.Spec{}, nil, fmt.Errorf(
 			"%w: sweep expands to %d cells, over this server's limit of %d",
 			registry.ErrBadSpec, len(cells), m.opts.MaxSweepCells)
 	}
-	spec.Protocols = canon.Protocols
-	spec.Ns = canon.Ns
-	spec.Ms = canon.Ms
+	spec.Protocols = run.Protocols
+	spec.Ns = run.Ns
+	spec.Ms = run.Ms
 
-	// Re-canonicalize every cell as the standalone experiment it is
-	// equivalent to: that applies the per-engine population limits and
-	// the replicate limit, and yields the canonical experiment key/id the
-	// cell's result is cached, deduplicated and persisted under.
+	// Every cell's ensemble spec is already canonical, resolved exactly as
+	// the standalone experiment over the cell's spec: the cell's result is
+	// cached, deduplicated and persisted under that experiment's key/id.
 	plans := make([]sweepCellPlan, len(cells))
 	for i, cell := range cells {
-		expSpec, espec, err := m.CanonicalizeExperiment(ExperimentSpec{
-			Protocol:        cell.Protocol,
-			N:               cell.N,
-			Engine:          cell.Engine.String(),
-			Seed:            spec.Seed, // 0 stays 0: the derivation is per cell
-			M:               cell.M,
-			MaxParallelTime: spec.MaxParallelTime,
-			Replicates:      spec.Replicates,
-			CI:              spec.CI,
-			MinReplicates:   spec.MinReplicates,
-		})
-		if err != nil {
-			return SweepSpec{}, nil, fmt.Errorf("cell %s n=%d m=%d: %w", cell.Protocol, cell.N, cell.M, err)
+		if err := m.checkLimits(cell.Ensemble); err != nil {
+			return SweepSpec{}, sweep.Spec{}, nil, fmt.Errorf("cell %s n=%d m=%d: %w", cell.Protocol, cell.N, cell.M, err)
 		}
+		expSpec := experimentSpec(cell.Ensemble, spec.MaxParallelTime)
 		key := expSpec.key()
-		plans[i] = sweepCellPlan{
-			cell:    cell,
-			expSpec: expSpec,
-			espec:   espec,
-			key:     key,
-			id:      runID("e", key),
-		}
+		plans[i] = sweepCellPlan{cell: cell, expSpec: expSpec, key: key, id: runID("e", key)}
 	}
-	return spec, plans, nil
+	return spec, run, plans, nil
 }
 
 // SubmitSweep canonicalizes spec and returns the sweep serving it: a
@@ -277,14 +261,14 @@ func (m *Manager) CanonicalizeSweep(spec SweepSpec) (SweepSpec, []sweepCellPlan,
 // queued one. It fails with ErrBusy when the sweep queue is full and an
 // error wrapping registry.ErrBadSpec when the spec is invalid.
 func (m *Manager) SubmitSweep(spec SweepSpec) (sw *Sweep, cached bool, err error) {
-	canon, plans, err := m.CanonicalizeSweep(spec)
+	canon, run, plans, err := m.CanonicalizeSweep(spec)
 	if err != nil {
 		return nil, false, err
 	}
 	key := canon.key()
 	s, outcome, err := m.sweeps.Submit(key, runID("s", key), m.decodeSweep,
 		func() (*Sweep, error) {
-			s := newSweep(runcore.NewRun[SweepCell](runID("s", key)), canon, plans)
+			s := newSweep(runcore.NewRun[SweepCell](runID("s", key)), canon, run, plans)
 			if err := m.sweepClass.Enqueue(func() { m.runSweep(s) }); err != nil {
 				s.Cancel()
 				return nil, err
@@ -298,8 +282,8 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (sw *Sweep, cached bool, err error
 }
 
 // newSweep assembles a sweep with every cell queued.
-func newSweep(run *runcore.Run[SweepCell], spec SweepSpec, plans []sweepCellPlan) *Sweep {
-	s := &Sweep{Run: run, spec: spec, cells: plans}
+func newSweep(rc *runcore.Run[SweepCell], spec SweepSpec, run sweep.Spec, plans []sweepCellPlan) *Sweep {
+	s := &Sweep{Run: rc, spec: spec, run: run, cells: plans}
 	s.views = make([]SweepCell, len(plans))
 	for i, p := range plans {
 		s.views[i] = SweepCell{
@@ -308,7 +292,7 @@ func newSweep(run *runcore.Run[SweepCell], spec SweepSpec, plans []sweepCellPlan
 			N:            p.cell.N,
 			M:            p.cell.M,
 			Engine:       p.cell.Engine.String(),
-			Seed:         p.espec.Registry.Seed,
+			Seed:         p.cell.Ensemble.Registry.Seed,
 			ExperimentID: p.id,
 			State:        StateQueued,
 		}
@@ -338,11 +322,11 @@ func (m *Manager) decodeSweep(rec store.Record) (*Sweep, bool) {
 	if json.Unmarshal(rec.Spec, &spec) != nil || json.Unmarshal(rec.Data, &data) != nil {
 		return nil, false
 	}
-	canon, plans, err := m.CanonicalizeSweep(spec)
+	canon, run, plans, err := m.CanonicalizeSweep(spec)
 	if err != nil || canon.key() != rec.Key || len(data.Cells) != len(plans) {
 		return nil, false
 	}
-	s := newSweep(runcore.NewRestoredRun[SweepCell](rec.ID, rec.SavedAt), canon, plans)
+	s := newSweep(runcore.NewRestoredRun[SweepCell](rec.ID, rec.SavedAt), canon, run, plans)
 	s.views = data.Cells
 	s.summary = data.Summary
 	return s, true
@@ -373,7 +357,7 @@ func (m *Manager) runSweep(s *Sweep) {
 	}
 	start := time.Now()
 
-	res, err := sweep.Run(s.Context(), m.sweepRunSpec(s.spec), sweep.Options{
+	res, err := sweep.Run(s.Context(), s.run, sweep.Options{
 		RunCell: func(ctx context.Context, cell sweep.Cell) (ensemble.Aggregates, error) {
 			// Expansion is deterministic, so sweep.Run's cells line up
 			// index-for-index with the plans canonicalized at submission.
@@ -423,29 +407,6 @@ func (m *Manager) runSweep(s *Sweep) {
 		s.cancelCells(0)
 		m.sweeps.Finish(key, s, StateFailed, err.Error(), func() { s.wallMillis = wall })
 		m.metrics.recordRunState(store.KindSweep, StateFailed)
-	}
-}
-
-// sweepRunSpec converts a canonical wire spec back into the sweep
-// package's spec. The canonical spec already validated, so the engine
-// parses; expansion in sweep.Run reproduces the submission's cell order
-// exactly.
-func (m *Manager) sweepRunSpec(spec SweepSpec) sweep.Spec {
-	engine, err := pp.ParseEngine(spec.Engine)
-	if err != nil {
-		engine = pp.EngineAuto // unreachable for canonical specs
-	}
-	return sweep.Spec{
-		Protocols:       spec.Protocols,
-		Ns:              spec.Ns,
-		Ms:              spec.Ms,
-		Engine:          engine,
-		Seed:            spec.Seed,
-		Replicates:      spec.Replicates,
-		CITarget:        spec.CI,
-		MinReplicates:   spec.MinReplicates,
-		MaxParallelTime: spec.MaxParallelTime,
-		ObsCap:          m.opts.MaxSnapshots,
 	}
 }
 
@@ -500,7 +461,7 @@ func (m *Manager) runSweepCell(ctx context.Context, plan sweepCellPlan, onUpdate
 		}
 	}
 	start := time.Now()
-	agg, dist, err := m.runEnsemble(ctx, plan.espec, onUpdate)
+	agg, dist, err := m.runEnsemble(ctx, plan.cell.Ensemble, onUpdate)
 	if err != nil {
 		return ensemble.Aggregates{}, "", nil, err
 	}
@@ -508,7 +469,7 @@ func (m *Manager) runSweepCell(ctx context.Context, plan sweepCellPlan, onUpdate
 	m.metrics.recordEngineRun(plan.expSpec.Engine, ensembleInteractions(agg), wall)
 	// File the cell as a finished experiment, so a later POST
 	// /v1/experiments of the same spec is a cache hit.
-	e := &Experiment{Run: runcore.NewRun[ensemble.Aggregates](plan.id), spec: plan.expSpec, espec: plan.espec}
+	e := &Experiment{Run: runcore.NewRun[ensemble.Aggregates](plan.id), spec: plan.expSpec, espec: plan.cell.Ensemble}
 	m.exps.Finish(plan.key, e, StateDone, "", func() {
 		e.agg = &agg
 		e.dist = dist

@@ -13,7 +13,10 @@
 // kind, the sweep command-line tool, and the harness's Theorem 1
 // experiment all expand and summarize through here, while execution is
 // pluggable (Options.RunCell) so the service can substitute its
-// cache-aware, store-backed cell runner.
+// cache-aware, store-backed cell runner. The package owns only the grid
+// (axis canonicalization and expansion): what a cell means is resolved
+// by ensemble.Canonicalize, the one resolver behind jobs, experiments
+// and cells alike, so a cell is the standalone experiment over its spec.
 package sweep
 
 import (
@@ -61,7 +64,7 @@ type Spec struct {
 	MinReplicates int
 	// MaxParallelTime caps each replicate, in parallel time units (0 =
 	// the protocol's registry default budget; values beyond it are
-	// clamped to it, as for service jobs).
+	// clamped to it by registry.Entry.Budget, as for service jobs).
 	MaxParallelTime float64
 	// ObsCap is the replicate drive schedule's observation cap (0 =
 	// ensemble.DefaultObsCap). Part of the deterministic surface.
@@ -83,10 +86,13 @@ type Cell struct {
 	Ensemble ensemble.Spec
 }
 
-// Canonicalize validates spec, resolves its defaults, and expands the
-// axes into cells. Every cell is validated against the registry — and
-// its engine resolved — up front, so an invalid grid fails before any
-// simulation. Errors wrap registry.ErrBadSpec.
+// Canonicalize validates spec, canonicalizes its axes, and expands them
+// into cells. Each cell's meaning — engine, seed, budget, replicate and
+// early-stop knobs — is resolved by ensemble.Canonicalize, the one
+// resolver jobs and experiments go through too, with the per-replicate
+// cap applied by registry.Entry.Budget. Every cell is resolved up
+// front, so an invalid grid fails before any simulation. Errors wrap
+// registry.ErrBadSpec.
 func Canonicalize(spec Spec) (Spec, []Cell, error) {
 	if len(spec.Protocols) == 0 {
 		return Spec{}, nil, fmt.Errorf("%w: sweep needs at least one protocol (valid: %s)",
@@ -95,25 +101,6 @@ func Canonicalize(spec Spec) (Spec, []Cell, error) {
 	if len(spec.Ns) == 0 {
 		return Spec{}, nil, fmt.Errorf("%w: sweep needs at least one population size", registry.ErrBadSpec)
 	}
-	if spec.Replicates < 1 {
-		return Spec{}, nil, fmt.Errorf("%w: sweep needs replicates >= 1 (got %d)",
-			registry.ErrBadSpec, spec.Replicates)
-	}
-	if spec.CITarget < 0 || spec.CITarget >= 1 {
-		return Spec{}, nil, fmt.Errorf(
-			"%w: ci target %g outside [0, 1) (it is a relative CI half-width; 0 disables early stopping)",
-			registry.ErrBadSpec, spec.CITarget)
-	}
-	if spec.MinReplicates < 0 {
-		return Spec{}, nil, fmt.Errorf("%w: negative minReplicates %d", registry.ErrBadSpec, spec.MinReplicates)
-	}
-	if spec.MaxParallelTime < 0 {
-		return Spec{}, nil, fmt.Errorf("%w: negative maxParallelTime %g", registry.ErrBadSpec, spec.MaxParallelTime)
-	}
-	if spec.Engine != pp.EngineAuto && !spec.Engine.Valid() {
-		return Spec{}, nil, fmt.Errorf("%w: unknown engine %v", registry.ErrBadSpec, spec.Engine)
-	}
-
 	spec.Protocols = dedupe(spec.Protocols)
 	spec.Ns = sortedDedupe(spec.Ns)
 	if len(spec.Ms) == 0 {
@@ -125,7 +112,7 @@ func Canonicalize(spec Spec) (Spec, []Cell, error) {
 	for _, proto := range spec.Protocols {
 		for _, m := range spec.Ms {
 			for _, n := range spec.Ns {
-				espec, _, err := ensemble.Canonicalize(ensemble.Spec{
+				espec, entry, err := ensemble.Canonicalize(ensemble.Spec{
 					Registry: registry.Spec{
 						Protocol: proto,
 						N:        n,
@@ -138,15 +125,11 @@ func Canonicalize(spec Spec) (Spec, []Cell, error) {
 					MinReplicates: spec.MinReplicates,
 					ObsCap:        spec.ObsCap,
 				})
+				if err == nil {
+					espec.Budget, err = entry.Budget(n, spec.MaxParallelTime)
+				}
 				if err != nil {
 					return Spec{}, nil, fmt.Errorf("cell %s n=%d m=%d: %w", proto, n, m, err)
-				}
-				if spec.MaxParallelTime > 0 {
-					// Clamp exactly as the service clamps job budgets: the
-					// override can only shorten a run.
-					if steps := spec.MaxParallelTime * float64(n); steps < float64(espec.Budget) {
-						espec.Budget = uint64(steps)
-					}
 				}
 				cells = append(cells, Cell{
 					Index:    len(cells),
