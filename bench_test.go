@@ -1,10 +1,10 @@
-// Package popproto's root benchmark suite regenerates the workload behind
-// every experiment in DESIGN.md §4, one testing.B target per table/figure
-// artifact. Benchmarks report custom metrics (parallel time, survivor
-// counts, states) alongside wall-clock cost so that `go test -bench=.
-// -benchmem` reproduces the paper's quantities end to end. cmd/experiments
-// produces the full statistical reports; these targets are the
-// repeatable, profile-friendly unit of each experiment.
+// Package popproto's root benchmark suite: the claims table of the
+// experiment harness at smoke-test scale (BenchmarkExperiments, one
+// sub-benchmark per claim; `experiments -list` names them), interaction
+// microbenchmarks, the engine head-to-head and large-n elections, and the
+// ensemble, sweep and cluster-merge layers. Benchmarks report custom
+// metrics (parallel time, live heap, fit slopes) alongside wall-clock
+// cost.
 package popproto
 
 import (
@@ -18,12 +18,10 @@ import (
 	"popproto/internal/baseline"
 	"popproto/internal/core"
 	"popproto/internal/ensemble"
-	"popproto/internal/epidemic"
+	"popproto/internal/harness"
 	"popproto/internal/pp"
 	"popproto/internal/registry"
-	"popproto/internal/rng"
 	"popproto/internal/sweep"
-	"popproto/internal/trace"
 )
 
 // electionBench runs one full election per iteration on the selected
@@ -54,298 +52,20 @@ func liveHeapMiB(keepAlive any) float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-func logBudget(n int) uint64 {
-	return uint64(4000) * uint64(n) * uint64(core.CeilLog2(n)+1)
-}
-
-func linearBudget(n int) uint64 {
-	return 100*uint64(n)*uint64(n) + 100_000
-}
-
-// --- Table 1: states vs stabilization time, one bench per protocol row ---
-
-func BenchmarkTable1_PLL(b *testing.B) {
-	electionBench[core.State](b, pp.EngineAgent, core.NewForN(1024), 1024, logBudget(1024))
-}
-
-func BenchmarkTable1_PLLSymmetric(b *testing.B) {
-	electionBench[core.SymState](b, pp.EngineAgent, core.NewSymmetricForN(1024), 1024, 40*logBudget(1024))
-}
-
-func BenchmarkTable1_Angluin(b *testing.B) {
-	electionBench[baseline.AngluinState](b, pp.EngineAgent, baseline.Angluin{}, 1024, linearBudget(1024))
-}
-
-func BenchmarkTable1_Lottery(b *testing.B) {
-	electionBench[baseline.LotteryState](b, pp.EngineAgent, baseline.NewLottery(1024), 1024, linearBudget(1024))
-}
-
-func BenchmarkTable1_MaxID(b *testing.B) {
-	electionBench[baseline.MaxIDState](b, pp.EngineAgent, baseline.NewMaxID(1024), 1024, linearBudget(1024))
-}
-
-// --- Table 2: lower-bound consistency (constant-state pays linear time) ---
-
-func BenchmarkTable2_LowerBounds(b *testing.B) {
-	b.Run("angluin-n512", func(b *testing.B) {
-		electionBench[baseline.AngluinState](b, pp.EngineAgent, baseline.Angluin{}, 512, linearBudget(512))
-	})
-	b.Run("pll-n512", func(b *testing.B) {
-		electionBench[core.State](b, pp.EngineAgent, core.NewForN(512), 512, logBudget(512))
-	})
-}
-
-// --- Table 3 / Lemma 3: state usage of an instrumented run ---
-
-func BenchmarkTable3_StateSpace(b *testing.B) {
-	const n = 1024
-	p := core.NewForN(n)
-	var distinct float64
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		sim.TrackStates()
-		sim.RunUntilLeaders(1, logBudget(n))
-		distinct += float64(sim.DistinctStates())
-	}
-	b.ReportMetric(distinct/float64(b.N), "distinct-states/op")
-	b.ReportMetric(float64(p.Params().StateSpaceSize()), "table3-bound")
-}
-
-// --- Theorem 1: the headline sweep ---
-
-func BenchmarkTheorem1_PLLStabilization(b *testing.B) {
-	for _, n := range []int{1024, 4096, 16384} {
-		b.Run(benchName(n), func(b *testing.B) {
-			electionBench[core.State](b, pp.EngineAgent, core.NewForN(n), n, logBudget(n))
-		})
-	}
-}
-
-// --- Lemma 2: one-way epidemics ---
-
-func BenchmarkLemma2_Epidemic(b *testing.B) {
-	r := rng.New(1)
-	b.Run("jump-n65536", func(b *testing.B) {
-		var total float64
-		for i := 0; i < b.N; i++ {
-			run := epidemic.SimulateJump(1<<16, 1<<16, r)
-			total += run.CompletionParallelTime()
-		}
-		b.ReportMetric(total/float64(b.N), "parallel-time/op")
-	})
-	b.Run("pairs-n4096", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			epidemic.SimulatePairs(1<<12, 1<<12, r)
-		}
-	})
-}
-
-// --- Lemma 4: status assignment ---
-
-func BenchmarkLemma4_Status(b *testing.B) {
-	const n = 1024
-	p := core.NewForN(n)
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		for {
-			sim.RunSteps(n)
-			counts := pp.CensusBy(sim, func(s core.State) core.Status { return s.Status })
-			if counts[core.StatusX] == 0 {
-				break
-			}
-		}
-	}
-}
-
-// --- Lemma 6: synchronization clock ---
-
-func BenchmarkLemma6_Synchronization(b *testing.B) {
-	const n = 1024
-	p := core.NewForN(n)
-	var total float64
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		for {
-			sim.RunSteps(n / 2)
-			sawColor2 := false
-			sim.ForEach(func(_ int, s core.State) {
-				if s.Color == 2 {
-					sawColor2 = true
-				}
-			})
-			if sawColor2 {
-				break
-			}
-		}
-		total += sim.ParallelTime()
-	}
-	b.ReportMetric(total/float64(b.N), "parallel-time-to-color2/op")
-}
-
-// --- Lemma 7: QuickElimination survivors at ⌊21 n ln n⌋ ---
-
-func BenchmarkLemma7_QuickElimination(b *testing.B) {
-	const n = 1024
-	p := core.NewForN(n)
-	horizon := uint64(math.Floor(21 * float64(n) * math.Log(float64(n))))
-	var survivors float64
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		sim.RunSteps(horizon)
-		survivors += float64(sim.Leaders())
-	}
-	b.ReportMetric(survivors/float64(b.N), "survivors/op")
-}
-
-// --- Lemma 8: election before epoch 4 ---
-
-func BenchmarkLemma8_Tournament(b *testing.B) {
-	const n = 1024
-	p := core.NewForN(n)
-	unique := 0
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		for {
-			sim.RunSteps(n / 2)
-			inFourth := false
-			sim.ForEach(func(_ int, s core.State) {
-				if s.Epoch == 4 {
-					inFourth = true
-				}
-			})
-			if inFourth {
-				break
-			}
-		}
-		if sim.Leaders() == 1 {
-			unique++
-		}
-	}
-	b.ReportMetric(float64(unique)/float64(b.N), "unique-before-epoch4")
-}
-
-// --- Lemma 9: epoch progress ---
-
-func BenchmarkLemma9_EpochProgress(b *testing.B) {
-	const n = 1024
-	p := core.NewForN(n)
-	var total float64
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		for {
-			sim.RunSteps(n)
-			all := true
-			sim.ForEach(func(_ int, s core.State) {
-				if s.Epoch != 4 {
-					all = false
-				}
-			})
-			if all {
-				break
-			}
-		}
-		total += sim.ParallelTime()
-	}
-	b.ReportMetric(total/float64(b.N), "parallel-time-to-epoch4/op")
-}
-
-// --- Lemmas 10–12: BackUp from a Bstart configuration ---
-
-func BenchmarkBackup_Election(b *testing.B) {
-	const n = 4096
-	p := core.NewForN(n)
-	var total float64
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		r := rng.New(uint64(i) ^ 0xb5)
-		for id := 0; id < n; id++ {
-			var s core.State
-			if id < n/2 {
-				s = core.State{
-					Status: core.StatusA, Epoch: 4, Init: 4,
-					Leader: id < n/8,
-					LevelB: uint16(r.Intn(2)),
-				}
-			} else {
-				s = core.State{
-					Status: core.StatusB, Epoch: 4, Init: 4,
-					Count: uint16(r.Intn(p.Params().CMax)),
+// BenchmarkExperiments runs every row of the harness's claims table at
+// smoke-test scale, one sub-benchmark per row, and fails on a failing
+// verdict: the end-to-end cost of checking each claim. cmd/experiments
+// produces the full-scale reports.
+func BenchmarkExperiments(b *testing.B) {
+	cfg := harness.DefaultConfig()
+	cfg.Quick = true
+	for _, e := range harness.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if res := e.Run(cfg); !res.Passed() {
+					b.Fatalf("failing verdicts:\n%s", res.Markdown)
 				}
 			}
-			sim.SetState(id, s)
-		}
-		if _, ok := sim.RunUntilLeaders(1, 100*logBudget(n)); !ok {
-			b.Fatal("Bstart election did not finish")
-		}
-		total += sim.ParallelTime()
-	}
-	b.ReportMetric(total/float64(b.N), "parallel-time/op")
-}
-
-// --- §3.2.3 / §4: coin-flip fairness workload ---
-
-func BenchmarkCoins_Fairness(b *testing.B) {
-	const n = 512
-	p := core.NewForN(n)
-	steps := 6 * n * core.CeilLog2(n)
-	heads, flips := 0, 0
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		r := rng.New(uint64(i) ^ 0xc0111)
-		for s := 0; s < steps; s++ {
-			x, y := r.Pair(n)
-			sx, sy := sim.State(x), sim.State(y)
-			isFlip := func(l, f core.State) bool {
-				return l.Leader && l.Status == core.StatusA && !l.Done && l.Epoch == 1 &&
-					f.Epoch == 1 && (f.Status == core.StatusX || !f.Leader)
-			}
-			if isFlip(sx, sy) {
-				heads++
-				flips++
-			} else if isFlip(sy, sx) {
-				flips++
-			}
-			sim.Interact(x, y)
-		}
-	}
-	if flips > 0 {
-		b.ReportMetric(float64(heads)/float64(flips), "heads-fraction")
-	}
-}
-
-// --- Section 4: symmetric parity ---
-
-func BenchmarkSymmetric_Parity(b *testing.B) {
-	b.Run("asymmetric-n1024", func(b *testing.B) {
-		electionBench[core.State](b, pp.EngineAgent, core.NewForN(1024), 1024, logBudget(1024))
-	})
-	b.Run("symmetric-n1024", func(b *testing.B) {
-		electionBench[core.SymState](b, pp.EngineAgent, core.NewSymmetricForN(1024), 1024, 40*logBudget(1024))
-	})
-}
-
-// --- Trajectory figure: one fully traced election ---
-
-func BenchmarkTrajectory_Figure(b *testing.B) {
-	const n = 2048
-	p := core.NewForN(n)
-	for i := 0; i < b.N; i++ {
-		sim := pp.NewSimulator[core.State](p, n, uint64(i)+1)
-		rec := trace.NewRecorder(sim, 1.0, trace.LeaderProbe[core.State]())
-		rec.RunUntil(float64(40*core.CeilLog2(n)), func(s pp.Runner[core.State]) bool {
-			return s.Leaders() == 1
-		})
-	}
-}
-
-// --- Ablation: the Φ = 0 configuration (Tournament disabled) ---
-
-func BenchmarkAblation_PhiSweep(b *testing.B) {
-	const n = 1024
-	for _, phi := range []int{0, 3} {
-		p := core.New(core.NewParams(n).WithPhi(phi))
-		b.Run(fmt.Sprintf("phi=%d", phi), func(b *testing.B) {
-			electionBench[core.State](b, pp.EngineAgent, p, n, 100*logBudget(n))
 		})
 	}
 }
@@ -419,7 +139,7 @@ func BenchmarkPLL(b *testing.B) {
 			var totalPT, totalInts float64
 			for i := 0; i < b.N; i++ {
 				sim := pp.NewRunner[core.State](engine, proto, n, uint64(i)+1)
-				if _, ok := sim.RunUntilLeaders(1, logBudget(n)); !ok {
+				if _, ok := sim.RunUntilLeaders(1, registry.LogBudget(n)); !ok {
 					b.Fatalf("iteration %d did not stabilize", i)
 				}
 				totalPT += sim.ParallelTime()
@@ -446,7 +166,7 @@ func BenchmarkPLLSeeds(b *testing.B) {
 			var totalPT, totalInts float64
 			for i := 0; i < b.N; i++ {
 				sim := pp.NewHybridSimulator[core.State](proto, n, seed)
-				if _, ok := sim.RunUntilLeaders(1, logBudget(n)); !ok {
+				if _, ok := sim.RunUntilLeaders(1, registry.LogBudget(n)); !ok {
 					b.Fatalf("seed %d did not stabilize", seed)
 				}
 				totalPT += sim.ParallelTime()
@@ -488,7 +208,7 @@ func BenchmarkEngines_PLL(b *testing.B) {
 	for _, n := range []int{1024, 65536, 1_000_000} {
 		for _, engine := range pp.Engines() {
 			b.Run(fmt.Sprintf("n=%d/engine=%s", n, engine), func(b *testing.B) {
-				electionBench[core.State](b, engine, core.NewForN(n), n, logBudget(n))
+				electionBench[core.State](b, engine, core.NewForN(n), n, registry.LogBudget(n))
 			})
 		}
 	}
@@ -502,7 +222,7 @@ func BenchmarkEngines_Angluin(b *testing.B) {
 	for _, n := range []int{1024, 16384} {
 		for _, engine := range pp.Engines() {
 			b.Run(fmt.Sprintf("n=%d/engine=%s", n, engine), func(b *testing.B) {
-				electionBench[baseline.AngluinState](b, engine, baseline.Angluin{}, n, linearBudget(n))
+				electionBench[baseline.AngluinState](b, engine, baseline.Angluin{}, n, registry.LinearBudget(n))
 			})
 		}
 	}
@@ -529,7 +249,7 @@ func BenchmarkLargeN_PLL_CountEngine(b *testing.B) {
 			var total, maxHeap, maxLive float64
 			for i := 0; i < b.N; i++ {
 				sim := pp.NewCountSimulator[core.State](proto, n, uint64(i)+1)
-				if _, ok := sim.RunUntilLeaders(1, logBudget(n)); !ok {
+				if _, ok := sim.RunUntilLeaders(1, registry.LogBudget(n)); !ok {
 					b.Fatalf("iteration %d did not stabilize", i)
 				}
 				total += sim.ParallelTime()
@@ -553,7 +273,7 @@ func BenchmarkLargeN_PLL_BatchEngine(b *testing.B) {
 			var total, maxHeap, maxLive float64
 			for i := 0; i < b.N; i++ {
 				sim := pp.NewBatchSimulator[core.State](proto, n, uint64(i)+1)
-				if _, ok := sim.RunUntilLeaders(1, logBudget(n)); !ok {
+				if _, ok := sim.RunUntilLeaders(1, registry.LogBudget(n)); !ok {
 					b.Fatalf("iteration %d did not stabilize", i)
 				}
 				total += sim.ParallelTime()
@@ -575,7 +295,7 @@ func BenchmarkLargeN_PLL_BatchEngine(b *testing.B) {
 func BenchmarkTable1_PLL_XL(b *testing.B) {
 	const n = 100_000_000
 	xlGuard(b, n)
-	electionBench[core.State](b, pp.EngineBatch, core.NewForN(n), n, logBudget(n))
+	electionBench[core.State](b, pp.EngineBatch, core.NewForN(n), n, registry.LogBudget(n))
 }
 
 // BenchmarkLargeN_PLL_XXL is the first n=10⁹ PLL row: a full election at
@@ -591,7 +311,7 @@ func BenchmarkLargeN_PLL_XXL(b *testing.B) {
 	var total, maxHeap, maxLive float64
 	for i := 0; i < b.N; i++ {
 		sim := pp.NewHybridSimulator[core.State](proto, n, uint64(i)+1)
-		if _, ok := sim.RunUntilLeaders(1, logBudget(n)); !ok {
+		if _, ok := sim.RunUntilLeaders(1, registry.LogBudget(n)); !ok {
 			b.Fatalf("iteration %d did not stabilize", i)
 		}
 		total += sim.ParallelTime()
@@ -614,7 +334,7 @@ func BenchmarkLargeN_Angluin_CountEngine(b *testing.B) {
 			var total, maxHeap float64
 			for i := 0; i < b.N; i++ {
 				sim := pp.NewCountSimulator[baseline.AngluinState](baseline.Angluin{}, n, uint64(i)+1)
-				if _, ok := sim.RunUntilLeaders(1, linearBudget(n)); !ok {
+				if _, ok := sim.RunUntilLeaders(1, registry.LinearBudget(n)); !ok {
 					b.Fatalf("iteration %d did not stabilize", i)
 				}
 				total += sim.ParallelTime()

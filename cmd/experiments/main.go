@@ -1,22 +1,26 @@
-// Command experiments regenerates the paper-reproduction experiments: the
-// empirical Tables 1–3 and the per-lemma measurements indexed in DESIGN.md
-// §4. Reports are written as Markdown to stdout (and optionally a file),
-// each ending in PASS/FAIL verdicts against the paper's claims.
+// Command experiments checks the paper's claims by measurement: the
+// empirical Tables 1–3 and the per-lemma measurements, one row each of
+// the harness's claims table. Reports are written as Markdown to stdout
+// (and optionally a file), each ending in PASS/FAIL verdicts against the
+// paper's claims.
 //
 // Usage:
 //
-//	experiments -list
+//	experiments -list [-quick] [-seed N] [-engine E] [-replicates R] [-ci X] [ids...]
 //	experiments [-quick] [-seed N] [-engine agent|count|batch|hybrid|auto] [-replicates R] [-ci X] [-out FILE] [ids...]
 //
-// With no ids, every experiment runs in registry order. -replicates and
-// -ci tune the cells that measure a plain registry spec (Table 1/2,
-// Theorem 1, the symmetric comparison and the ablation's m sweep):
-// -replicates overrides the per-cell ensemble size, and -ci stops each
-// ensemble early once the relative 95% CI half-width of the mean
+// -list prints every claim with the paper result it reproduces and, for
+// rows measured as ensembles, each cell as the POST /v1/experiments body
+// that reproduces it at the given flags. With no ids, every experiment
+// runs in table order. -replicates and -ci tune those ensemble cells
+// (Table 1/2, Theorem 1, the symmetric comparison and the ablation's m
+// sweep): -replicates overrides the per-cell ensemble size, and -ci stops
+// each ensemble early once the relative 95% CI half-width of the mean
 // stabilization time drops to the target.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,6 +31,7 @@ import (
 	"popproto/internal/ensemble"
 	"popproto/internal/harness"
 	"popproto/internal/pp"
+	"popproto/internal/service"
 )
 
 func main() {
@@ -38,7 +43,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	list := fs.Bool("list", false, "list experiment ids and exit")
+	list := fs.Bool("list", false, "list the claims and the /v1/experiments requests of their ensemble cells, and exit")
 	quick := fs.Bool("quick", false, "smoke-test scale (small n, few repetitions)")
 	seed := cliflags.Seed(fs, harness.DefaultConfig().Seed, "master seed")
 	workers := cliflags.Workers(fs)
@@ -55,13 +60,6 @@ func run(args []string) error {
 	}
 	if err := ensemble.CheckCI(*ci); err != nil {
 		return err
-	}
-
-	if *list {
-		for _, e := range harness.All() {
-			fmt.Printf("%-10s %s\n", e.ID, e.Title)
-		}
-		return nil
 	}
 
 	eng, err := pp.ParseEngine(*engine)
@@ -82,6 +80,9 @@ func run(args []string) error {
 			}
 			selected = append(selected, e)
 		}
+	}
+	if *list {
+		return listClaims(selected, cfg)
 	}
 
 	var combined strings.Builder
@@ -105,6 +106,31 @@ func run(args []string) error {
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) had failing verdicts", failures)
+	}
+	return nil
+}
+
+// listClaims prints the selected rows of the claims table: each row's
+// id, title and paper reference, then its ensemble cells at cfg's scale
+// as the /v1/experiments request bodies that reproduce them.
+func listClaims(selected []harness.Experiment, cfg harness.Config) error {
+	for _, e := range selected {
+		fmt.Printf("%-10s %s\n%-10s reproduces %s\n", e.ID, e.Title, "", e.Paper)
+		if e.Cells == nil {
+			fmt.Printf("%-10s instrumented runs only\n", "")
+			continue
+		}
+		for _, cell := range e.Cells(cfg) {
+			body, err := json.Marshal(service.ExperimentSpec{
+				Protocol: cell.Registry.Protocol, N: cell.Registry.N, M: cell.Registry.M,
+				Engine: cell.Registry.Engine.String(), Seed: cell.Registry.Seed,
+				Replicates: cell.Replicates, CI: cell.CITarget,
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-10s POST /v1/experiments %s\n", "", body)
+		}
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"popproto/internal/core"
 	"popproto/internal/pp"
 	"popproto/internal/pp/pptest"
+	"popproto/internal/registry"
 )
 
 // equivalenceFixtures is the protocol battery of the cross-engine suite:
@@ -30,12 +31,12 @@ import (
 // execution path of every engine.
 func equivalenceFixtures() []pptest.EquivalenceFixture {
 	return []pptest.EquivalenceFixture{
-		pptest.EquivFixture[bool]("duel/n=256", pptest.Duel{}, 256, 200, linearBudget(256)),
-		pptest.EquivFixture[core.State]("pll/n=96", core.NewForN(96), 96, 200, logBudget(96)),
+		pptest.EquivFixture[bool]("duel/n=256", pptest.Duel{}, 256, 200, registry.LinearBudget(256)),
+		pptest.EquivFixture[core.State]("pll/n=96", core.NewForN(96), 96, 200, registry.LogBudget(96)),
 		pptest.EquivFixture[core.SymState]("pll-sym/n=64", core.NewSymmetricForN(64), 64, 120,
-			40*logBudget(64)),
+			40*registry.LogBudget(64)),
 		pptest.EquivFixture[baseline.AngluinState]("angluin/n=64", baseline.Angluin{}, 64, 200,
-			linearBudget(64)),
+			registry.LinearBudget(64)),
 	}
 }
 

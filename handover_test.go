@@ -17,6 +17,7 @@ import (
 	"popproto/internal/core"
 	"popproto/internal/pp"
 	"popproto/internal/pp/pptest"
+	"popproto/internal/registry"
 )
 
 // forceCycle returns a handover policy that rotates round → skip →
@@ -54,11 +55,11 @@ func pinCycle[S comparable](chunk uint64) func(sim pp.Runner[S], seed uint64) {
 func TestHandoverMidRound(t *testing.T) {
 	fixtures := []pptest.EquivalenceFixture{
 		pptest.EquivFixtureConfigured[bool]("duel/n=256", pptest.Duel{}, 256, 200,
-			linearBudget(256), pinCycle[bool](37)),
+			registry.LinearBudget(256), pinCycle[bool](37)),
 		pptest.EquivFixtureConfigured[core.State]("pll/n=96", core.NewForN(96), 96, 200,
-			logBudget(96), pinCycle[core.State](53)),
+			registry.LogBudget(96), pinCycle[core.State](53)),
 		pptest.EquivFixtureConfigured[baseline.AngluinState]("angluin/n=64", baseline.Angluin{},
-			64, 200, linearBudget(64), pinCycle[baseline.AngluinState](29)),
+			64, 200, registry.LinearBudget(64), pinCycle[baseline.AngluinState](29)),
 	}
 	pptest.Equivalence(t, fixtures, []pp.Engine{pp.EngineAgent, pp.EngineHybrid})
 }
@@ -119,8 +120,8 @@ func crossingFixture[S comparable](
 // against the per-agent reference on duel and PLL.
 func TestHandoverBeforeLeaderCrossing(t *testing.T) {
 	fixtures := []pptest.EquivalenceFixture{
-		crossingFixture[bool]("duel/n=128", pptest.Duel{}, 128, 200, linearBudget(128)),
-		crossingFixture[core.State]("pll/n=64", core.NewForN(64), 64, 200, logBudget(64)),
+		crossingFixture[bool]("duel/n=128", pptest.Duel{}, 128, 200, registry.LinearBudget(128)),
+		crossingFixture[core.State]("pll/n=64", core.NewForN(64), 64, 200, registry.LogBudget(64)),
 	}
 	pptest.Equivalence(t, fixtures, []pp.Engine{pp.EngineAgent, pp.EngineHybrid})
 }
@@ -149,7 +150,7 @@ func TestHandoverDeadCensus(t *testing.T) {
 		// and stability verified without role changes.
 		const n = 512
 		h := pp.NewHybridSimulator[bool](pptest.Duel{}, n, 13)
-		if _, ok := h.RunUntilLeaders(1, linearBudget(n)); !ok {
+		if _, ok := h.RunUntilLeaders(1, registry.LinearBudget(n)); !ok {
 			t.Fatal("duel did not elect within budget")
 		}
 		crossing := h.Steps()

@@ -2,8 +2,9 @@
 // reproduced paper: the constant-state protocol of Angluin et al. 2006, a
 // lottery protocol in the style of Alistarh et al. 2017, and an MST18-style
 // max-ID protocol. Together with PLL they regenerate the table's
-// states-versus-time trade-off empirically. The deliberate simplifications
-// relative to the cited originals are documented in DESIGN.md §3.
+// states-versus-time trade-off empirically (`experiments -list` prints
+// the Table 1 cells). The deliberate simplifications relative to the
+// cited originals are documented on the Lottery and MaxID types.
 package baseline
 
 import "popproto/internal/pp"

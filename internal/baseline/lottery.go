@@ -25,8 +25,8 @@ type LotteryState struct {
 // interaction it participates in (initiator = heads, responder = tails),
 // counting heads until the first tail; the maximum level then spreads by
 // one-way epidemic and only maximum-level agents stay leaders; residual
-// ties resolve by direct duel. See DESIGN.md §3 for the relation to the
-// original (which adds phase machinery to reach polylog time).
+// ties resolve by direct duel. The original adds phase machinery to reach
+// polylog time; this reduction keeps only the lottery.
 //
 // The protocol uses Θ(log n) states and stabilizes in Θ(n) expected
 // parallel time — fast (O(log n)) with constant probability, but the

@@ -27,7 +27,7 @@ type MaxIDState struct {
 // probability 1 − O(1/n), so the expected stabilization time is
 // O(log n) + O(1/n)·O(n) = O(log n); the identifier space is what buys
 // the speed, which is Table 1's "linear states / log time" row shape.
-// DESIGN.md §3 records the differences from the original.
+// It reproduces that row's shape, not the original protocol.
 type MaxID struct {
 	width uint8
 }

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"popproto/internal/core"
 	"popproto/internal/pp"
@@ -132,106 +130,68 @@ func geometricGOF(levels []int, shift int) stats.ChiSquare {
 	return stats.ChiSquareGOF(obs, exp)
 }
 
-// coinsExperiment validates the paper's two coin-flip constructions: the
+// checkCoins validates the paper's two coin-flip constructions: the
 // scheduler-role coins of §3.2.3 (fair and independent because a flip
 // happens only when a leader meets a follower) and the F0/F1 coins of §4
 // (fair because |F0| = |F1| is invariant).
-func coinsExperiment() Experiment {
-	e := Experiment{
-		ID:    "coins",
-		Title: "fairness and independence of both coin-flip constructions",
-		Paper: "§3.2.3 (scheduler coins) and §4 (symmetric F0/F1 coins)",
+func checkCoins(cfg Config, r *report) {
+	n, repCount := pick(cfg, 512, 128), pick(cfg, 30, 10)
+	stepsPerRun := uint64(6 * n * core.CeilLog2(n))
+
+	// audit pools the flips of repCount traced runs: the fairness test,
+	// the mean lag-1 autocorrelation and the lottery-level test.
+	type audit struct {
+		flips, heads int
+		fair, geo    stats.ChiSquare
+		corr         float64
 	}
-	e.Run = func(cfg Config) Result {
-		n := 512
-		repCount := reps(cfg, 30)
-		if cfg.Quick {
-			n = 128
-			repCount = 10
-		}
-		stepsPerRun := uint64(6 * n * core.CeilLog2(n))
-
-		collect := func(trace func(int, uint64, uint64) flipTrace) (bits []int, levels []int, corr float64) {
-			var corrSum float64
-			runs := 0
-			for rep := 0; rep < repCount; rep++ {
-				tr := trace(n, stepsPerRun, cfg.Seed+uint64(rep)*7919)
-				bits = append(bits, tr.bits...)
-				levels = append(levels, tr.levels...)
-				if len(tr.bits) > 10 {
-					corrSum += lag1Autocorr(tr.bits)
-					runs++
-				}
+	collect := func(trace func(int, uint64, uint64) flipTrace, shift int) (a audit) {
+		var levels []int
+		var corrSum float64
+		runs := 0
+		for rep := 0; rep < repCount; rep++ {
+			tr := trace(n, stepsPerRun, cfg.Seed+uint64(rep)*7919)
+			a.flips += len(tr.bits)
+			for _, b := range tr.bits {
+				a.heads += b
 			}
-			if runs > 0 {
-				corr = corrSum / float64(runs)
+			levels = append(levels, tr.levels...)
+			if len(tr.bits) > 10 {
+				corrSum += lag1Autocorr(tr.bits)
+				runs++
 			}
-			return bits, levels, corr
 		}
-
-		asymBits, asymLevels, asymCorr := collect(traceAsymmetricFlips)
-		symBits, symLevels, symCorr := collect(traceSymmetricFlips)
-
-		analyze := func(bits []int) (heads int, gof stats.ChiSquare) {
-			for _, b := range bits {
-				heads += b
-			}
-			obs := []float64{float64(heads), float64(len(bits) - heads)}
-			exp := []float64{float64(len(bits)) / 2, float64(len(bits)) / 2}
-			return heads, stats.ChiSquareGOF(obs, exp)
+		if runs > 0 {
+			a.corr = corrSum / float64(runs)
 		}
-		asymHeads, asymGOF := analyze(asymBits)
-		symHeads, symGOF := analyze(symBits)
-		asymGeo := geometricGOF(asymLevels, 1) // birth head: s_v = 1 + Geom(1/2)
-		symGeo := geometricGOF(symLevels, 0)   // no birth coin: s_v = Geom(1/2)
-
-		tbl := table.New("construction", "flips observed", "heads fraction",
-			"fairness χ² p", "lag-1 autocorr", "s_v ~ Geometric(1/2) χ² p")
-		tbl.AddRowf("scheduler roles (§3.2.3)", len(asymBits),
-			f4(float64(asymHeads)/float64(len(asymBits))), f3(asymGOF.P), f4(asymCorr), f3(asymGeo.P))
-		tbl.AddRowf("F0/F1 coins (§4)", len(symBits),
-			f4(float64(symHeads)/float64(len(symBits))), f3(symGOF.P), f4(symCorr), f3(symGeo.P))
-
-		var body strings.Builder
-		fmt.Fprintf(&body, "n = %d, %d instrumented runs per construction, %d steps each.\n\n",
-			n, repCount, stepsPerRun)
-		body.WriteString(tbl.Markdown())
-		body.WriteString("\nThe geometric test checks the per-leader heads-before-first-tail count s_v, the random variable of the §3.1.1 lottery game.\n")
-
-		fair := func(g stats.ChiSquare) bool { return g.P > 0.001 }
-		verdicts := []Verdict{
-			{
-				Claim:  "scheduler-role flips are fair (§3.2.3)",
-				Pass:   fair(asymGOF),
-				Detail: asymGOF.String(),
-			},
-			{
-				Claim:  "scheduler-role flips show no serial correlation",
-				Pass:   math.Abs(asymCorr) < pick(cfg, 0.05, 0.12),
-				Detail: fmt.Sprintf("mean lag-1 autocorrelation %s", f4(asymCorr)),
-			},
-			{
-				Claim:  "per-leader lottery levels follow Geometric(1/2) (§3.1.1)",
-				Pass:   fair(asymGeo),
-				Detail: asymGeo.String(),
-			},
-			{
-				Claim:  "symmetric F0/F1 flips are fair (§4)",
-				Pass:   fair(symGOF),
-				Detail: symGOF.String(),
-			},
-			{
-				Claim:  "symmetric flips show no serial correlation",
-				Pass:   math.Abs(symCorr) < pick(cfg, 0.05, 0.12),
-				Detail: fmt.Sprintf("mean lag-1 autocorrelation %s", f4(symCorr)),
-			},
-			{
-				Claim:  "symmetric lottery levels follow Geometric(1/2)",
-				Pass:   fair(symGeo),
-				Detail: symGeo.String(),
-			},
-		}
-		return renderReport(e, body.String(), verdicts)
+		half := float64(a.flips) / 2
+		a.fair = stats.ChiSquareGOF([]float64{float64(a.heads), float64(a.flips - a.heads)}, []float64{half, half})
+		a.geo = geometricGOF(levels, shift)
+		return a
 	}
-	return e
+	asym := collect(traceAsymmetricFlips, 1) // birth head: s_v = 1 + Geom(1/2)
+	sym := collect(traceSymmetricFlips, 0)   // no birth coin: s_v = Geom(1/2)
+
+	tbl := table.New("construction", "flips observed", "heads fraction",
+		"fairness χ² p", "lag-1 autocorr", "s_v ~ Geometric(1/2) χ² p")
+	for _, row := range []struct {
+		name string
+		a    audit
+	}{{"scheduler roles (§3.2.3)", asym}, {"F0/F1 coins (§4)", sym}} {
+		tbl.AddRowf(row.name, row.a.flips, f4(float64(row.a.heads)/float64(row.a.flips)),
+			f3(row.a.fair.P), f4(row.a.corr), f3(row.a.geo.P))
+	}
+	r.printf("n = %d, %d instrumented runs per construction, %d steps each.\n\n%s", n, repCount, stepsPerRun, tbl)
+	r.printf("\nThe geometric test checks the per-leader heads-before-first-tail count s_v, the random variable of the §3.1.1 lottery game.\n")
+
+	fair := func(g stats.ChiSquare) bool { return g.P > 0.001 }
+	uncorrelated := func(c float64) bool { return math.Abs(c) < pick(cfg, 0.05, 0.12) }
+	r.verdict("scheduler-role flips are fair (§3.2.3)", fair(asym.fair), "%s", asym.fair)
+	r.verdict("scheduler-role flips show no serial correlation", uncorrelated(asym.corr),
+		"mean lag-1 autocorrelation %s", f4(asym.corr))
+	r.verdict("per-leader lottery levels follow Geometric(1/2) (§3.1.1)", fair(asym.geo), "%s", asym.geo)
+	r.verdict("symmetric F0/F1 flips are fair (§4)", fair(sym.fair), "%s", sym.fair)
+	r.verdict("symmetric flips show no serial correlation", uncorrelated(sym.corr),
+		"mean lag-1 autocorrelation %s", f4(sym.corr))
+	r.verdict("symmetric lottery levels follow Geometric(1/2)", fair(sym.geo), "%s", sym.geo)
 }

@@ -11,13 +11,14 @@ import (
 )
 
 // The golden reports pin every experiment's Quick report byte for byte:
-// the agent-engine report of every experiment, plus the count-engine
-// report of every experiment whose election sweeps run on Config.Engine.
-// Reports derive all randomness from Config.Seed through
-// ensemble.ReplicateSeed, so they are independent of Config.Workers, and
-// a refactor of the harness must leave them unchanged. Regenerate with
+// the agent-engine report of every row of the claims table, plus the
+// count-engine report of every row with ensemble cells. Reports derive
+// all randomness from Config.Seed through ensemble.ReplicateSeed, so they
+// are independent of Config.Workers, and a refactor of the harness must
+// leave them unchanged. Regenerate with
 // `go test ./internal/harness -run TestExperimentsQuick -update-golden`
-// only for a deliberate change to what an experiment measures or prints.
+// only for a deliberate change to what an experiment measures or prints;
+// blocks of rows a -run filter skips are kept as they are.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/reports_quick.md")
 
 const goldenReportsPath = "testdata/reports_quick.md"
@@ -27,20 +28,27 @@ const goldenMarker = "<!-- golden: "
 
 func goldenKey(id string, engine pp.Engine) string { return id + " engine=" + engine.String() }
 
-// countEngineIDs are the experiments re-run on the count engine.
-var countEngineIDs = map[string]bool{
-	"table1": true, "table2": true, "theorem1": true, "symmetric": true,
-	"ablation": true, "trajectory": true,
+// goldenEngines returns the engines e's report is pinned on: the agent
+// engine, plus the count engine for rows with ensemble cells and for the
+// trajectory, which traces its election on Config.Engine too.
+func goldenEngines(e Experiment) []pp.Engine {
+	if e.Cells != nil || e.ID == "trajectory" {
+		return []pp.Engine{pp.EngineAgent, pp.EngineCount}
+	}
+	return []pp.Engine{pp.EngineAgent}
 }
 
 // readGoldenReports parses the golden file into report blocks by key.
 func readGoldenReports(t *testing.T) map[string]string {
 	t.Helper()
+	blocks := map[string]string{}
 	data, err := os.ReadFile(goldenReportsPath)
 	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create it)", err)
+		if !*updateGolden {
+			t.Fatalf("%v (run with -update-golden to create it)", err)
+		}
+		return blocks
 	}
-	blocks := map[string]string{}
 	for _, block := range strings.Split(string(data), goldenMarker)[1:] {
 		header, body, _ := strings.Cut(block, " -->\n")
 		blocks[header] = body
@@ -48,26 +56,18 @@ func readGoldenReports(t *testing.T) map[string]string {
 	return blocks
 }
 
-// TestExperimentsQuick runs every experiment at smoke-test scale, at one
-// worker and at eight, on the agent engine and (for the election sweeps)
-// the count engine. Each report must pass every verdict, be the same at
-// both worker counts, and equal its golden block.
+// TestExperimentsQuick runs every row of the claims table at smoke-test
+// scale, at one worker and at eight, on each of its golden engines. Each
+// report must pass every verdict, be the same at both worker counts, and
+// equal its golden block.
 func TestExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not -short")
 	}
-	var golden map[string]string
-	if !*updateGolden {
-		golden = readGoldenReports(t)
-	}
-	var out strings.Builder
+	golden := readGoldenReports(t)
 	for _, e := range All() {
-		engines := []pp.Engine{pp.EngineAgent}
-		if countEngineIDs[e.ID] {
-			engines = append(engines, pp.EngineCount)
-		}
 		t.Run(e.ID, func(t *testing.T) {
-			for _, engine := range engines {
+			for _, engine := range goldenEngines(e) {
 				t.Run(engine.String(), func(t *testing.T) {
 					cfg := quickCfg()
 					cfg.Engine, cfg.Workers = engine, 1
@@ -86,8 +86,9 @@ func TestExperimentsQuick(t *testing.T) {
 							res.Markdown, eight)
 					}
 					key := goldenKey(e.ID, engine)
-					fmt.Fprintf(&out, "%s%s -->\n%s", goldenMarker, key, res.Markdown)
-					if golden != nil && golden[key] != res.Markdown {
+					if *updateGolden {
+						golden[key] = res.Markdown
+					} else if golden[key] != res.Markdown {
 						t.Errorf("report differs from %s block %q:\n--- got\n%s\n--- want\n%s",
 							goldenReportsPath, key, res.Markdown, golden[key])
 					}
@@ -99,6 +100,14 @@ func TestExperimentsQuick(t *testing.T) {
 		})
 	}
 	if *updateGolden {
+		var out strings.Builder
+		for _, e := range All() {
+			for _, engine := range goldenEngines(e) {
+				if body, ok := golden[goldenKey(e.ID, engine)]; ok {
+					fmt.Fprintf(&out, "%s%s -->\n%s", goldenMarker, goldenKey(e.ID, engine), body)
+				}
+			}
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

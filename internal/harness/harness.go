@@ -1,13 +1,16 @@
-// Package harness defines and runs the reproduction experiments: one per
-// table of the paper and one per quantitative lemma/theorem, treating each
+// Package harness checks the paper's claims by measurement: one row per
+// table of the paper and per quantitative lemma or theorem, treating each
 // proved bound as the figure it would have been in an empirical paper.
-// DESIGN.md §4 is the authoritative index mapping experiment IDs to paper
-// artifacts, modules and bench targets.
 //
-// Every experiment emits a Markdown report (tables and ASCII-chart
-// "figures") plus machine-checkable verdicts comparing the measurement
-// against the paper's claim. EXPERIMENTS.md is assembled from these
-// reports.
+// The claims form one ordered table (All). A row names the claim, the
+// ensemble cells it measures (each exactly the /v1/experiments request
+// that reproduces it, which `experiments -list` prints; none for rows
+// measured only on instrumented runs) and a check that reads the
+// measurements into a Markdown report — tables and ASCII-chart "figures" —
+// ending in machine-checkable PASS/FAIL verdicts against the paper's
+// claim. Three shared drivers do the work every row used to re-spell:
+// the ensemble-cell grid and its series (drivers.go), census observables
+// at check points (runUntil, count) and the report builder.
 package harness
 
 import (
@@ -15,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"popproto/internal/ensemble"
 	"popproto/internal/pp"
 )
 
@@ -39,12 +43,12 @@ type Config struct {
 	// address individual agents (Bstart constructions, coin audits) always
 	// use the per-agent engine.
 	Engine pp.Engine
-	// Replicates overrides the per-cell repetition count of the cells
-	// that measure a plain registry spec through measureEnsemble (Table
-	// 1/2, Theorem 1, the symmetric comparison, the ablation's m sweep);
-	// 0 keeps each experiment's default. Raise it for tighter CIs, lower
-	// it for speed. Instrumented runs (the lemma experiments, BackUp's
-	// Bstart and m = 1 runs, the ablation's Φ sweep) keep their counts.
+	// Replicates overrides the per-cell repetition count of the ensemble
+	// cells (Table 1/2, Theorem 1, the symmetric comparison, the
+	// ablation's m sweep); 0 keeps each experiment's default. Raise it for
+	// tighter CIs, lower it for speed. Instrumented runs (the lemma
+	// experiments, BackUp's Bstart and m = 1 runs, the ablation's Φ
+	// sweep) keep their counts.
 	Replicates int
 	// CITarget, when positive, lets those ensembles stop early once the
 	// relative 95% CI half-width of the mean stabilization time reaches
@@ -84,36 +88,59 @@ func (r Result) Passed() bool {
 	return true
 }
 
-// Experiment is a registered reproduction experiment.
+// Experiment is one row of the claims table.
 type Experiment struct {
-	// ID is the stable identifier used by cmd/experiments and DESIGN.md.
+	// ID is the stable identifier `experiments -list` prints and takes.
 	ID string
 	// Title is a one-line description.
 	Title string
 	// Paper names the table/figure/lemma being reproduced.
 	Paper string
-	// Run executes the experiment.
-	Run func(Config) Result
+	// Cells returns the ensemble cells the row measures at cfg's scale,
+	// in the layout its check reads them (see grid); nil for rows
+	// measured only on instrumented runs.
+	Cells func(cfg Config) []ensemble.Spec
+	// Check reads the measurements into the report: the finished Cells
+	// are in r.cells, instrumented runs happen here.
+	Check func(cfg Config, r *report)
 }
 
-// All returns the experiment registry in report order.
+// All returns the claims table in report order.
 func All() []Experiment {
 	return []Experiment{
-		table3Experiment(),
-		theorem1Experiment(),
-		table1Experiment(),
-		table2Experiment(),
-		lemma2Experiment(),
-		lemma4Experiment(),
-		lemma6Experiment(),
-		lemma7Experiment(),
-		lemma8Experiment(),
-		lemma9Experiment(),
-		backupExperiment(),
-		coinsExperiment(),
-		symmetricExperiment(),
-		trajectoryExperiment(),
-		ablationExperiment(),
+		{ID: "table3", Title: "variables of PLL and the O(log n) state count",
+			Paper: "Table 3 and Lemma 3", Check: checkTable3},
+		{ID: "theorem1", Title: "PLL stabilization time is O(log n) in expectation",
+			Paper: "Theorem 1 (with Lemmas 8, 9, 11, 12)", Cells: theorem1Cells, Check: checkTheorem1},
+		{ID: "table1", Title: "states vs. expected stabilization time across protocols",
+			Paper: "Table 1 ([Ang+06], [Ali+17], [MST18], this work; see DESIGN.md §3 for substitutions)",
+			Cells: table1Cells, Check: checkTable1},
+		{ID: "table2", Title: "measured times respect the lower bounds",
+			Paper: "Table 2 ([DS18] Ω(n) for O(1) states; [SM19] Ω(log n) for any state count)",
+			Cells: table2Cells, Check: checkTable2},
+		{ID: "lemma2", Title: "one-way epidemic tail bound, full and sub-populations",
+			Paper: "Lemma 2 (generalizing [Sud+12]; used by every module)", Check: checkLemma2},
+		{ID: "lemma4", Title: "status assignment bounds: |V_A| ≥ n/2, |V_F| ≥ n/2, |V_B| ≥ 1",
+			Paper: "Lemma 4", Check: checkLemma4},
+		{ID: "lemma6", Title: "synchronization propositions P1–P3 of the count-up clock",
+			Paper: "Lemma 6 (with Lemma 5)", Check: checkLemma6},
+		{ID: "lemma7", Title: "QuickElimination survivor distribution vs the 2^{1−i} envelope",
+			Paper: "Lemma 7 (the lottery game of §3.1.1)", Check: checkLemma7},
+		{ID: "lemma8", Title: "unique leader before epoch 4 with probability 1 − O(1/log n)",
+			Paper: "Lemma 8", Check: checkLemma8},
+		{ID: "lemma9", Title: "all agents reach epoch 4 within O(log n) parallel time",
+			Paper: "Lemma 9 (with Lemma 5)", Check: checkLemma9},
+		{ID: "backup", Title: "BackUp elects from Bstart in O(log² n); desynchronized runs still elect",
+			Paper: "Definition 3 and Lemmas 10–12 (plus Lemma 9's fallback)", Check: checkBackup},
+		{ID: "coins", Title: "fairness and independence of both coin-flip constructions",
+			Paper: "§3.2.3 (scheduler coins) and §4 (symmetric F0/F1 coins)", Check: checkCoins},
+		{ID: "symmetric", Title: "symmetric variant: correctness and constant-factor parity",
+			Paper: "Section 4", Cells: symmetricCells, Check: checkSymmetric},
+		{ID: "trajectory", Title: "anatomy of one election: leader count and epoch occupancy over time",
+			Paper: "§3.1 module pipeline (QuickElimination → Tournament ×2 → BackUp)", Check: checkTrajectory},
+		{ID: "ablation", Title: "design knobs: Tournament width Φ and knowledge parameter m",
+			Paper: "§3.2.4 (why Φ = ⌈2/3·lg m⌉, run twice) and the m = Θ(log n) requirement",
+			Cells: ablationCells, Check: checkAblation},
 	}
 }
 
@@ -135,6 +162,33 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// Run measures the row's cells, runs its check and renders the report.
+func (e Experiment) Run(cfg Config) Result {
+	r := &report{}
+	if e.Cells != nil {
+		for _, spec := range e.Cells(cfg) {
+			r.cells = append(r.cells, measureEnsemble(cfg, spec))
+		}
+	}
+	e.Check(cfg, r)
+	return renderReport(e, r.String(), r.verdicts)
+}
+
+// report is the builder a row's check writes its Markdown body and
+// verdicts into.
+type report struct {
+	strings.Builder
+	cells    []ensemble.Aggregates
+	verdicts []Verdict
+}
+
+func (r *report) printf(format string, args ...any) { fmt.Fprintf(r, format, args...) }
+
+// verdict records one claim check; detail is formatted as by printf.
+func (r *report) verdict(claim string, pass bool, detail string, args ...any) {
+	r.verdicts = append(r.verdicts, Verdict{Claim: claim, Pass: pass, Detail: fmt.Sprintf(detail, args...)})
 }
 
 // renderReport assembles the standard report layout.
@@ -167,6 +221,7 @@ func sweepSizes(cfg Config, logTime bool) []int {
 	return []int{128, 256, 512, 1024, 2048}
 }
 
+// reps scales a full-scale repetition count down to smoke-test scale.
 func reps(cfg Config, full int) int {
 	if cfg.Quick {
 		return max(8, full/3)
@@ -174,14 +229,15 @@ func reps(cfg Config, full int) int {
 	return full
 }
 
-// pick selects a verdict threshold: the strict value at full scale, the
-// lenient one at smoke-test scale, where populations are too small and
-// repetition counts too low for asymptotic shapes to be testable.
-func pick(cfg Config, strict, lenient float64) float64 {
+// pick selects by scale: the full-scale value (for a verdict threshold,
+// the strict one) or the smoke-test one (the lenient threshold, where
+// populations are too small and repetition counts too low for asymptotic
+// shapes to be testable).
+func pick[T any](cfg Config, full, quick T) T {
 	if cfg.Quick {
-		return lenient
+		return quick
 	}
-	return strict
+	return full
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

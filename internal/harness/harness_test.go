@@ -13,7 +13,7 @@ func TestRegistry(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Check == nil {
 			t.Fatalf("experiment %+v incomplete", e)
 		}
 		if seen[e.ID] {

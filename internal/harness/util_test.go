@@ -7,6 +7,7 @@ import (
 
 	"popproto/internal/baseline"
 	"popproto/internal/core"
+	"popproto/internal/ensemble"
 	"popproto/internal/pp"
 	"popproto/internal/registry"
 )
@@ -54,13 +55,13 @@ func TestRepsScaling(t *testing.T) {
 }
 
 func TestBudgetsGrow(t *testing.T) {
-	if logBudget(1024) >= logBudget(4096) {
+	if registry.LogBudget(1024) >= registry.LogBudget(4096) {
 		t.Fatal("log budget not increasing")
 	}
 	if registry.LinearBudget(1024) >= registry.LinearBudget(4096) {
 		t.Fatal("linear budget not increasing")
 	}
-	if registry.LinearBudget(4096) <= logBudget(4096) {
+	if registry.LinearBudget(4096) <= registry.LogBudget(4096) {
 		t.Fatal("linear budget should exceed log budget at scale")
 	}
 }
@@ -116,8 +117,10 @@ func TestEnsembleCellReportsBudgetFailures(t *testing.T) {
 	// A 2-step budget cannot elect among 64 duelling agents — on any
 	// engine.
 	for _, engine := range pp.Engines() {
-		agg := measureEnsemble(Config{Workers: 2},
-			registry.Spec{Protocol: "angluin", N: 64, Engine: engine, Seed: 1}, 5, 2)
+		agg := measureEnsemble(Config{Workers: 2}, ensemble.Spec{
+			Registry:   registry.Spec{Protocol: "angluin", N: 64, Engine: engine, Seed: 1},
+			Replicates: 5, Budget: 2,
+		})
 		if agg.Replicates != 5 {
 			t.Fatalf("engine %s: got %d replicates", engine, agg.Replicates)
 		}
@@ -151,7 +154,7 @@ func TestBuildBstartShape(t *testing.T) {
 		}
 	})
 	// The constructed configuration must elect.
-	if _, ok := sim.RunUntilLeaders(1, 100*logBudget(n)); !ok {
+	if _, ok := sim.RunUntilLeaders(1, 100*registry.LogBudget(n)); !ok {
 		t.Fatal("Bstart configuration did not elect")
 	}
 }
