@@ -113,7 +113,7 @@ func All() []Experiment {
 		{ID: "theorem1", Title: "PLL stabilization time is O(log n) in expectation",
 			Paper: "Theorem 1 (with Lemmas 8, 9, 11, 12)", Cells: theorem1Cells, Check: checkTheorem1},
 		{ID: "table1", Title: "states vs. expected stabilization time across protocols",
-			Paper: "Table 1 ([Ang+06], [Ali+17], [MST18], this work; see DESIGN.md §3 for substitutions)",
+			Paper: "Table 1 ([Ang+06], [Ali+17], [MST18], this work; the baseline package docs record the substitutions)",
 			Cells: table1Cells, Check: checkTable1},
 		{ID: "table2", Title: "measured times respect the lower bounds",
 			Paper: "Table 2 ([DS18] Ω(n) for O(1) states; [SM19] Ω(log n) for any state count)",
