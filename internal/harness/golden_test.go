@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,12 +13,13 @@ import (
 
 // The golden reports pin every experiment's Quick report byte for byte:
 // the agent-engine report of every row of the claims table, plus the
-// count-engine report of every row with ensemble cells. Reports derive
+// count-engine report of every row with ensemble cells and of the
+// trajectory. Reports derive
 // all randomness from Config.Seed through ensemble.ReplicateSeed, so they
 // are independent of Config.Workers, and a refactor of the harness must
 // leave them unchanged. Regenerate with
 // `go test ./internal/harness -run TestExperimentsQuick -update-golden`
-// only for a deliberate change to what an experiment measures or prints;
+// (the pattern also matches TestExperimentsQuickCountEngine) only for a deliberate change to what an experiment measures or prints;
 // blocks of rows a -run filter skips are kept as they are.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/reports_quick.md")
 
@@ -56,11 +58,82 @@ func readGoldenReports(t *testing.T) map[string]string {
 	return blocks
 }
 
-// TestExperimentsQuick runs every row of the claims table at smoke-test
-// scale, at one worker and at eight, on each of its golden engines. Each
-// report must pass every verdict, be the same at both worker counts, and
-// equal its golden block.
-func TestExperimentsQuick(t *testing.T) {
+// checkQuickReports runs, as one subtest per row, the Quick report of
+// every row pinned on engine at one worker. Each report must pass every
+// verdict and equal its golden block; with -update-golden the blocks of
+// the rows it ran are rewritten.
+func checkQuickReports(t *testing.T, engine pp.Engine) {
+	if testing.Short() {
+		t.Skip("experiment smoke tests are not -short")
+	}
+	golden := readGoldenReports(t)
+	for _, e := range All() {
+		if !slices.Contains(goldenEngines(e), engine) {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Engine, cfg.Workers = engine, 1
+			res := e.Run(cfg)
+			if res.ID != e.ID || len(res.Verdicts) == 0 {
+				t.Fatalf("result %q has %d verdicts", res.ID, len(res.Verdicts))
+			}
+			for _, v := range res.Verdicts {
+				if !v.Pass {
+					t.Errorf("verdict failed on %s engine: %s — %s", engine, v.Claim, v.Detail)
+				}
+			}
+			key := goldenKey(e.ID, engine)
+			if *updateGolden {
+				golden[key] = res.Markdown
+			} else if golden[key] != res.Markdown {
+				t.Errorf("report differs from %s block %q:\n--- got\n%s\n--- want\n%s",
+					goldenReportsPath, key, res.Markdown, golden[key])
+			}
+			if t.Failed() {
+				t.Logf("full report:\n%s", res.Markdown)
+			}
+		})
+	}
+	if *updateGolden {
+		writeGoldenReports(t, golden)
+	}
+}
+
+// writeGoldenReports writes the golden file's blocks in table order.
+func writeGoldenReports(t *testing.T, golden map[string]string) {
+	t.Helper()
+	var out strings.Builder
+	for _, e := range All() {
+		for _, engine := range goldenEngines(e) {
+			if body, ok := golden[goldenKey(e.ID, engine)]; ok {
+				fmt.Fprintf(&out, "%s%s -->\n%s", goldenMarker, goldenKey(e.ID, engine), body)
+			}
+		}
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenReportsPath, []byte(out.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExperimentsQuick checks every row's agent-engine Quick report.
+func TestExperimentsQuick(t *testing.T) { checkQuickReports(t, pp.EngineAgent) }
+
+// TestExperimentsQuickCountEngine checks the count-engine Quick report of
+// every row with ensemble cells and of the trajectory: the paper's claims
+// must verify on both engines (the statistical-equivalence tests in the
+// repository root check the distributions directly; this checks the
+// experiment plumbing).
+func TestExperimentsQuickCountEngine(t *testing.T) { checkQuickReports(t, pp.EngineCount) }
+
+// TestReportsIndependentOfWorkers pins the in-order fold: every row must
+// render, at eight workers, on each of its golden engines, the report its
+// golden block holds for one worker (with -update-golden, the report of a
+// one-worker run).
+func TestReportsIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not -short")
 	}
@@ -71,48 +144,17 @@ func TestExperimentsQuick(t *testing.T) {
 				t.Run(engine.String(), func(t *testing.T) {
 					cfg := quickCfg()
 					cfg.Engine, cfg.Workers = engine, 1
-					res := e.Run(cfg)
-					if res.ID != e.ID || len(res.Verdicts) == 0 {
-						t.Fatalf("result %q has %d verdicts", res.ID, len(res.Verdicts))
-					}
-					for _, v := range res.Verdicts {
-						if !v.Pass {
-							t.Errorf("verdict failed: %s — %s", v.Claim, v.Detail)
-						}
+					one := golden[goldenKey(e.ID, engine)]
+					if *updateGolden {
+						one = e.Run(cfg).Markdown
 					}
 					cfg.Workers = 8
-					if eight := e.Run(cfg).Markdown; eight != res.Markdown {
+					if eight := e.Run(cfg).Markdown; eight != one {
 						t.Errorf("report differs between 1 and 8 workers:\n--- 1 worker\n%s\n--- 8 workers\n%s",
-							res.Markdown, eight)
-					}
-					key := goldenKey(e.ID, engine)
-					if *updateGolden {
-						golden[key] = res.Markdown
-					} else if golden[key] != res.Markdown {
-						t.Errorf("report differs from %s block %q:\n--- got\n%s\n--- want\n%s",
-							goldenReportsPath, key, res.Markdown, golden[key])
-					}
-					if t.Failed() {
-						t.Logf("full report:\n%s", res.Markdown)
+							one, eight)
 					}
 				})
 			}
 		})
-	}
-	if *updateGolden {
-		var out strings.Builder
-		for _, e := range All() {
-			for _, engine := range goldenEngines(e) {
-				if body, ok := golden[goldenKey(e.ID, engine)]; ok {
-					fmt.Fprintf(&out, "%s%s -->\n%s", goldenMarker, goldenKey(e.ID, engine), body)
-				}
-			}
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenReportsPath, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
