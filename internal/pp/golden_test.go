@@ -17,7 +17,7 @@ import (
 	"popproto/internal/pp/pptest"
 )
 
-// The golden chains pin every census engine's sampled chain bit for bit
+// The golden chains pin every engine's sampled chain bit for bit
 // across commits: canonical result keys contain only the engine name, and
 // the result store serves stored runs by key, so an engine whose chain
 // drifts under a fixed seed would silently serve stale results as
@@ -111,7 +111,7 @@ func (mint) Transition(a, b mintState) (mintState, mintState) {
 
 func goldenLines() []string {
 	var lines []string
-	for _, engine := range []pp.Engine{pp.EngineCount, pp.EngineBatch, pp.EngineHybrid} {
+	for _, engine := range pp.Engines() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			const nBig, nDuel = 4096, 1024
 			lines = append(lines, goldenChain[core.State](engine, core.NewForN(nBig), nBig, seed,
@@ -121,7 +121,9 @@ func goldenLines() []string {
 			lines = append(lines, goldenChain[bool](engine, pptest.Duel{}, nDuel, seed,
 				[]uint64{1, 7, nDuel / 4, nDuel, 4 * nDuel, 16 * nDuel}, 1<<40)...)
 			// mint walks past the dense memo's caps within the first
-			// chunks, so the map overflow path is pinned too.
+			// chunks, so the census engines' bounded memo behind the
+			// matrix is pinned too, and so is the agent engine's
+			// conversion to per-agent states.
 			lines = append(lines, goldenChain[mintState](engine, mint{}, nBig, seed,
 				[]uint64{1, 7, nBig / 4, nBig, 4 * nBig}, 4*nBig)...)
 		}
@@ -129,7 +131,7 @@ func goldenLines() []string {
 	return lines
 }
 
-// TestGoldenChains compares every census engine's chain against the
+// TestGoldenChains compares every engine's chain against the
 // committed golden file.
 func TestGoldenChains(t *testing.T) {
 	got := goldenLines()
