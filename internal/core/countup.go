@@ -45,8 +45,8 @@ func countUp(a0, a1 *State, cmax uint16) {
 // the additional variables by group); we zero them so that State stays in
 // canonical form and the state count of Lemma 3 is preserved.
 //
-// The one deliberate deviation from the literal pseudo code is recorded in
-// DESIGN.md: followers enter V_A∩(V_2∪V_3) with index = Φ, mirroring how
+// The one deliberate deviation from the literal pseudo code: followers
+// enter V_A∩(V_2∪V_3) with index = Φ, mirroring how
 // line 5 gives late joiners done = true in V_A∩V_1. Without it, followers
 // would never satisfy the index = Φ guard of line 47 and the Tournament
 // nonce epidemic could not propagate through V_A as the analysis

@@ -13,10 +13,12 @@
 //	epochs 2 and 3 Tournament        — uniform nonce tournament, run twice
 //	epoch 4        BackUp            — level race + direct duels (safety net)
 //
-// The implementation follows Algorithms 1–5 of the paper line by line; the
-// handful of pseudo-code typos it corrects (saturating min written as max,
-// follower participation in the Tournament epidemic) are catalogued in
-// DESIGN.md.
+// The implementation follows Algorithms 1–5 of the paper line by line and
+// corrects two slips of the pseudo code. Saturating counters are capped
+// with min where the pseudo code writes max (the epoch at 4, the Tournament
+// index at Φ, the levels at lmax). Followers take part in the Tournament's
+// nonce epidemic: they enter V_A∩(V_2∪V_3) with index = Φ (see
+// refreshOnEpochEntry).
 package core
 
 import (

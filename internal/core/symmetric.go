@@ -48,7 +48,7 @@ func (c CoinStatus) String() string {
 // DuelStatus is the leader-only tie-breaking sub-state the symmetric
 // variant adds for epoch 4. The paper's line 58 ("responder yields") is
 // inherently asymmetric; Section 4 does not spell out its replacement, so
-// we use the scheme documented in DESIGN.md: two leaders in *identical*
+// this variant uses the following scheme: two leaders in *identical*
 // states both become DuelPending (legal, p = q ⇒ p′ = q′), a pending
 // leader converts its next coin observation into DuelZero/DuelOne, and two
 // leaders in *distinct* states resolve by the deterministic lexicographic
@@ -244,7 +244,7 @@ func makeLateJoiner(s *SymState) {
 // K×K→J×J, J×K→F0×F1. F0/F1 never change again and flips never consume
 // them, so F0 and F1 are minted only in pairs and |F0| = |F1| always.
 //
-// One completion beyond the paper's sketch (see DESIGN.md): a leader
+// One completion beyond the paper's sketch: a leader
 // meeting a J/K follower toggles that follower's coin. Without it the
 // configuration "two leaders + exactly two followers" (reachable for
 // n = 4) deadlocks: the two followers only ever dance with each other, in

@@ -12,7 +12,7 @@ import (
 // each other, in lockstep (J,J)→(K,K)→(J,J)→…, so J×K never occurs, no
 // F0/F1 coin is ever minted, and no leader can ever flip a coin — the
 // election would freeze with two leaders forever. The leader→follower J/K
-// toggle documented in DESIGN.md breaks the lockstep; this test pins the
+// toggle (see coinDance) breaks the lockstep; this test pins the
 // construction and verifies the election completes.
 func TestFourAgentCoinDeadlockRegression(t *testing.T) {
 	const n = 4

@@ -47,6 +47,21 @@ func TestCountAllocFree(t *testing.T) {
 	}
 }
 
+// TestAgentAllocFree pins the agent engine's hot path — interned agents
+// and the bounded transition memo — once the memo and the state table
+// are warm.
+func TestAgentAllocFree(t *testing.T) {
+	const n = 1 << 16
+	sim := pp.NewSimulator[tickerState](tickerDuel{}, n, 37)
+	avg := steadyStateAllocs(
+		func() { sim.RunSteps(8 * n) },
+		func() { sim.RunSteps(n) },
+	)
+	if avg > 0.5 {
+		t.Fatalf("agent hot path allocates: %.2f allocs per RunSteps(n)", avg)
+	}
+}
+
 func TestHybridModesAllocFree(t *testing.T) {
 	const n = 1 << 16
 	for _, mode := range []pp.HybridMode{pp.ModeRound, pp.ModeInteract, pp.ModeSkip} {

@@ -173,7 +173,7 @@ func (wideProto) Transition(a, b int) (int, int) { return a + 1, b }
 
 // TestOutcomeMapFallback drives the dense-memo overflow branch directly: a
 // state table beyond batchDenseStatesHardMax must route outcome lookups
-// through the census engine's map memo without growing the dense matrix.
+// through the bounded pair memo without growing the dense matrix.
 func TestOutcomeMapFallback(t *testing.T) {
 	b := NewBatchSimulator[int](wideProto{}, 100, 3)
 	cs := b
@@ -211,7 +211,7 @@ func TestDenseGrowthGate(t *testing.T) {
 		t.Fatalf("dense growth allowed with live=%d > cap %d beyond the soft cap",
 			cs.live, b.maxLiveForRounds())
 	}
-	if _, ok := b.denseOutcome(batchDenseStatesMax+2, batchDenseStatesMax+4); ok {
+	if _, _, ok := b.denseOutcome(batchDenseStatesMax+2, batchDenseStatesMax+4); ok {
 		t.Fatal("denseOutcome grew the matrix for a wide-support census")
 	}
 	// Concentrate the census again: growth past the soft cap is allowed.
@@ -222,7 +222,7 @@ func TestDenseGrowthGate(t *testing.T) {
 		t.Fatalf("dense growth declined with live=%d concentrated below cap %d",
 			cs.live, b.maxLiveForRounds())
 	}
-	if _, ok := b.denseOutcome(batchDenseStatesMax+2, batchDenseStatesMax+4); !ok {
+	if _, _, ok := b.denseOutcome(batchDenseStatesMax+2, batchDenseStatesMax+4); !ok {
 		t.Fatal("denseOutcome declined a concentrated census below the hard cap")
 	}
 }

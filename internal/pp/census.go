@@ -24,21 +24,11 @@ const (
 	// many no-ops signals a reaction-dense census; fall back to
 	// per-interaction sampling until the next long no-op streak.
 	countBatchExitSkip = 8
-	// overflowMemoMax caps the map memo that holds the transition outcomes
-	// of pairs past the dense matrix's capacity. On overflow the whole map
-	// is dropped and refilled with the current working set.
-	overflowMemoMax = 1 << 20
 	// denseEmpty marks an unfilled cell of the dense transition matrix.
 	// Cells pack the two outcome indexes as uint16s, halving the matrix's
 	// cache footprint versus a naive pair of int32s.
 	denseEmpty = ^uint32(0)
 )
-
-// pairOutcome is the memoized result of one ordered state-pair transition,
-// as dense indices. i2 == i and j2 == j encodes a census-preserving pair.
-type pairOutcome struct {
-	i2, j2 int32
-}
 
 // CensusSimulator executes one population under a protocol on the census
 // (configuration-as-multiset) representation: one integer count per
@@ -66,27 +56,21 @@ type pairOutcome struct {
 //
 // Transition outcomes are memoized by dense index pair in one matrix shared
 // by all modes; pairs past its capacity (state-hungry protocols) go through
-// a bounded map.
+// the bounded memo the agent engine uses too (pairMemo).
 //
 // A CensusSimulator is not safe for concurrent use; run one per goroutine.
 type CensusSimulator[S comparable] struct {
-	proto Protocol[S]
 	n     int
 	rand  *rng.Source
 	steps uint64
 
-	// Dense state table: index i holds state states[i] with multiplicity
-	// counts[i] (zero once all agents have left the state).
-	states   []S
-	counts   []int64
-	isLeader []bool
-	index    map[S]int
+	// The census: one count per interned state, plus a Fenwick tree over
+	// the counts for per-interaction sampling.
+	stateTable[S]
 	fen      []int64 // 1-based Fenwick tree over counts
 	fenTop   int     // largest power of two <= len(states)
 	fenDirty bool    // round mode defers Fenwick maintenance (see ensureFen)
-	live     int     // number of states with counts[i] > 0
 
-	leaders     int
 	roleChanges uint64
 
 	seen map[S]struct{} // non-nil only when TrackStates was called
@@ -131,11 +115,11 @@ type CensusSimulator[S comparable] struct {
 // Clone drops it wholesale.
 type derived struct {
 	// Transition memo: dense[i*denseStride+j] packs the outcome state
-	// indexes of the ordered pair (i, j); overflow holds pairs past the
+	// indexes of the ordered pair (i, j); memo holds pairs past the
 	// matrix's capacity.
 	dense       []uint32
 	denseStride int
-	overflow    map[uint64]pairOutcome
+	memo        pairMemo
 
 	ridx reactiveIndex // incremental reactive-pair index (see ridx.go)
 
@@ -155,15 +139,14 @@ func newCensus[S comparable](policy Engine, proto Protocol[S], n int, seed uint6
 		panic(fmt.Sprintf("pp: population size %d < 1", n))
 	}
 	c := &CensusSimulator[S]{
-		proto:     proto,
-		n:         n,
-		rand:      rng.New(seed),
-		index:     make(map[S]int, 64),
-		fen:       make([]int64, 1, 64), // fen[0] is the unused Fenwick root
-		minRoundN: batchRoundMinN,
-		expRound:  math.Sqrt(math.Pi * float64(n) / 8),
-		policy:    policy,
-		mode:      ModeInteract,
+		n:          n,
+		rand:       rng.New(seed),
+		stateTable: newStateTable(proto),
+		fen:        make([]int64, 1, 64), // fen[0] is the unused Fenwick root
+		minRoundN:  batchRoundMinN,
+		expRound:   math.Sqrt(math.Pi * float64(n) / 8),
+		policy:     policy,
+		mode:       ModeInteract,
 	}
 	c.add(c.stateIndex(proto.InitialState()), int64(n))
 	return c
@@ -221,15 +204,11 @@ func (c *CensusSimulator[S]) Count(s S) int {
 }
 
 // Census returns the multiset of current agent states.
-func (c *CensusSimulator[S]) Census() map[S]int {
-	m := make(map[S]int, c.live)
-	for i, cnt := range c.counts {
-		if cnt > 0 {
-			m[c.states[i]] = int(cnt)
-		}
-	}
-	return m
-}
+func (c *CensusSimulator[S]) Census() map[S]int { return c.census() }
+
+// EachState calls f once per live state with its multiplicity, in state
+// table order; id is the state's table index, stable for the run.
+func (c *CensusSimulator[S]) EachState(f func(id int, state S, count int)) { c.eachLive(f) }
 
 // ForEach calls f once per agent. Agents in the population protocol model
 // are anonymous, so the census engine does not track identities: ids are
@@ -271,29 +250,36 @@ func (c *CensusSimulator[S]) DistinctStates() int { return len(c.seen) }
 
 // stateIndex returns the dense index of s, registering it on first sight.
 func (c *CensusSimulator[S]) stateIndex(s S) int {
-	if i, ok := c.index[s]; ok {
-		return i
-	}
-	i := len(c.states)
-	c.states = append(c.states, s)
-	c.counts = append(c.counts, 0)
-	c.isLeader = append(c.isLeader, c.proto.Output(s) == Leader)
-	c.index[s] = i
-	// Extend the Fenwick table: position p covers the count range
-	// (p − lowbit(p), p], so the new cell must be seeded with the already-
-	// accumulated prefix of that range (all zeros only when lowbit(p) = 1).
-	p := i + 1
-	var init int64
-	if lb := p & (-p); lb > 1 {
-		init = c.fenPrefix(p-1) - c.fenPrefix(p-lb)
-	}
-	c.fen = append(c.fen, init)
-	if c.fenTop == 0 {
-		c.fenTop = 1
-	} else if c.fenTop*2 <= len(c.states) {
-		c.fenTop *= 2
-	}
+	i := c.intern(s)
+	c.syncFen()
 	return i
+}
+
+// syncFen extends the Fenwick table over states interned since the last
+// call (transitions intern successors through the shared state table).
+// The check is split from the extension so it inlines.
+func (c *CensusSimulator[S]) syncFen() {
+	if len(c.fen) <= len(c.states) {
+		c.extendFen()
+	}
+}
+
+func (c *CensusSimulator[S]) extendFen() {
+	for p := len(c.fen); p <= len(c.states); p++ {
+		// Position p covers the count range (p − lowbit(p), p], so the new
+		// cell must be seeded with the already-accumulated prefix of that
+		// range (all zeros only when lowbit(p) = 1).
+		var init int64
+		if lb := p & (-p); lb > 1 {
+			init = c.fenPrefix(p-1) - c.fenPrefix(p-lb)
+		}
+		c.fen = append(c.fen, init)
+		if c.fenTop == 0 {
+			c.fenTop = 1
+		} else if c.fenTop*2 <= p {
+			c.fenTop *= 2
+		}
+	}
 }
 
 func (c *CensusSimulator[S]) fenAdd(i int, d int64) {
@@ -368,20 +354,11 @@ func (c *CensusSimulator[S]) add(i int, d int64) {
 // round's maintenance meter — so a warm index survives sparse rounds and
 // the next skip entry costs no rebuild.
 func (c *CensusSimulator[S]) bump(i int32, d int64) {
-	old := c.counts[i]
 	if c.ridx.valid {
+		old := c.counts[i]
 		c.ridxUpdate(int(i), old, old+d)
 	}
-	c.counts[i] = old + d
-	switch {
-	case old == 0 && d > 0:
-		c.live++
-	case old+d == 0 && d < 0:
-		c.live--
-	}
-	if c.isLeader[i] {
-		c.leaders += int(d)
-	}
+	c.shift(i, d)
 }
 
 // moveOne relocates one agent from state index `from` to `to`.
@@ -406,59 +383,38 @@ func (c *CensusSimulator[S]) moveOne(from, to int) {
 // outcome returns the transition outcome for the ordered state index pair
 // (i, j). Transitions are pure and dense indices are never reassigned, so
 // outcomes are memoized by index pair: a hit in the dense matrix costs one
-// array load; pairs it declines go through the bounded overflow map.
+// array load; pairs it declines go through the bounded memo.
 func (c *CensusSimulator[S]) outcome(i, j int32) (int32, int32) {
-	if out, ok := c.denseOutcome(int(i), int(j)); ok {
-		return out.i2, out.j2
+	if i2, j2, ok := c.denseOutcome(int(i), int(j)); ok {
+		return i2, j2
 	}
-	key := uint64(uint32(i))<<32 | uint64(uint32(j))
-	out, ok := c.overflow[key]
-	if !ok {
-		out = c.transition(int(i), int(j))
-		if c.overflow == nil || len(c.overflow) >= overflowMemoMax {
-			c.overflow = make(map[uint64]pairOutcome, 1024)
-		}
-		c.overflow[key] = out
-	}
-	return out.i2, out.j2
-}
-
-// transition evaluates the protocol on the ordered state index pair,
-// registering any new successor state.
-func (c *CensusSimulator[S]) transition(i, j int) pairOutcome {
-	a, b := c.states[i], c.states[j]
-	a2, b2 := c.proto.Transition(a, b)
-	i2, j2 := i, j
-	if a2 != a {
-		i2 = c.stateIndex(a2)
-	}
-	if b2 != b {
-		j2 = c.stateIndex(b2)
-	}
-	return pairOutcome{int32(i2), int32(j2)}
+	i2, j2 := lookup(&c.memo, &c.stateTable, c.n, i, j)
+	c.syncFen()
+	return i2, j2
 }
 
 // denseOutcome is the dense memo lookup-or-fill. ok=false declines the
 // pair (matrix outgrown, see denseEligible).
-func (c *CensusSimulator[S]) denseOutcome(i, j int) (pairOutcome, bool) {
+func (c *CensusSimulator[S]) denseOutcome(i, j int) (i2, j2 int32, ok bool) {
 	if i >= c.denseStride || j >= c.denseStride {
 		if !c.denseEligible() {
-			return pairOutcome{}, false
+			return 0, 0, false
 		}
 		c.growDense()
 	}
 	idx := i*c.denseStride + j
 	if v := c.dense[idx]; v != denseEmpty {
-		return pairOutcome{int32(v >> 16), int32(v & 0xffff)}, true
+		return int32(v >> 16), int32(v & 0xffff), true
 	}
-	out := c.transition(i, j)
+	i2, j2 = c.transition(int32(i), int32(j))
+	c.syncFen()
 	// Cells pack the outcome indexes as uint16s; an outcome landing beyond
 	// the packable range (a very deep state table) is returned uncached
 	// rather than corrupted.
-	if out.i2 < 0xffff && out.j2 < 0xffff {
-		c.dense[idx] = uint32(out.i2)<<16 | uint32(out.j2)
+	if i2 < 0xffff && j2 < 0xffff {
+		c.dense[idx] = uint32(i2)<<16 | uint32(j2)
 	}
-	return out, true
+	return i2, j2, true
 }
 
 // growDense (re)sizes the dense memo matrix to the next power of two that
@@ -484,7 +440,7 @@ func (c *CensusSimulator[S]) growDense() {
 // current state table: unconditionally up to batchDenseStatesMax, then on
 // the condition that the live support stays concentrated enough for round
 // mode to amortize, up to the hard cap. Purely a cost/memory model — a
-// declined matrix routes pairs through the overflow map instead.
+// declined matrix routes pairs through the bounded memo instead.
 func (c *CensusSimulator[S]) denseEligible() bool {
 	k := len(c.states)
 	if k <= batchDenseStatesMax {
@@ -616,11 +572,8 @@ func (c *CensusSimulator[S]) VerifyStable(extra uint64) bool {
 func (c *CensusSimulator[S]) Clone() *CensusSimulator[S] {
 	d := *c
 	d.rand = c.rand.Clone()
-	d.states = append([]S(nil), c.states...)
-	d.counts = append([]int64(nil), c.counts...)
-	d.isLeader = append([]bool(nil), c.isLeader...)
+	d.stateTable = c.clone()
 	d.fen = append([]int64(nil), c.fen...)
-	d.index = maps.Clone(c.index)
 	d.order = append([]int32(nil), c.order...)
 	if c.seen != nil {
 		d.seen = maps.Clone(c.seen)

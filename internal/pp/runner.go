@@ -33,6 +33,14 @@ type Runner[S comparable] interface {
 	RoleChanges() uint64
 	// Census returns the multiset of current agent states.
 	Census() map[S]int
+	// LiveStates returns the number of distinct states currently present.
+	LiveStates() int
+	// EachState calls f once per live state with its multiplicity, at a
+	// cost of O(live states) where the engine keeps a state table. id is
+	// the state's table index, stable for the run, so callers may cache
+	// per-state work by it; it is -1 where the engine keeps no table (an
+	// agent engine past its spill point, see Simulator).
+	EachState(f func(id int, state S, count int))
 	// ForEach calls f for every agent id and state. The census engine
 	// synthesizes ids in census order.
 	ForEach(f func(id int, state S))
@@ -61,8 +69,9 @@ type Engine uint8
 
 const (
 	// EngineAgent is the per-agent engine (Simulator): one state per agent,
-	// one sampled interaction per step. Memory Θ(n); supports agent-indexed
-	// operations and deterministic schedules.
+	// one sampled interaction per step. Memory 2 B per agent plus the state
+	// table (Θ(n) state values once a state-hungry run spills); supports
+	// agent-indexed operations and deterministic schedules.
 	EngineAgent Engine = iota
 	// The remaining three engines are named mode policies of one
 	// CensusSimulator: one count per distinct state (memory Θ(states ever

@@ -85,7 +85,7 @@ func (s *Starve) Next(n int) (int, int) {
 // RunSchedule executes k interactions drawn from sched, advancing the step
 // counter exactly as random steps do.
 func (s *Simulator[S]) RunSchedule(sched Schedule, k uint64) {
-	n := len(s.agents)
+	n := s.n
 	for ; k > 0; k-- {
 		i, j := sched.Next(n)
 		s.Interact(i, j)

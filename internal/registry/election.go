@@ -1,8 +1,9 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"popproto/internal/pp"
@@ -61,6 +62,7 @@ type election[S comparable] struct {
 	engine pp.Engine
 	proto  pp.Protocol[S]
 	run    pp.Runner[S]
+	names  []string // rendered states by state-table index, filled on use
 }
 
 // wrap closes over the state type S at registration time: the one generic
@@ -92,18 +94,33 @@ func (e *election[S]) RunUntilLeaders(target int, maxSteps uint64) (uint64, bool
 
 func (e *election[S]) VerifyStable(extra uint64) bool { return e.run.VerifyStable(extra) }
 
+// Census walks the runner's live states, O(live states) on an engine with
+// a state table, and renders each state once per run.
 func (e *election[S]) Census() map[string]int {
-	census := e.run.Census()
-	out := make(map[string]int, len(census))
-	for s, c := range census {
+	out := make(map[string]int, e.run.LiveStates())
+	e.run.EachState(func(id int, s S, c int) {
 		// Distinct states may collide after rendering (a protocol whose
 		// String drops fields); summing keeps the census a true multiset.
-		out[fmt.Sprint(s)] += c
-	}
+		out[e.name(id, s)] += c
+	})
 	return out
 }
 
-func (e *election[S]) LiveStates() int { return len(e.run.Census()) }
+// name renders state s, whose state-table index is id (-1: none).
+func (e *election[S]) name(id int, s S) string {
+	if id < 0 {
+		return fmt.Sprint(s)
+	}
+	if id >= len(e.names) {
+		e.names = append(e.names, make([]string, id+1-len(e.names))...)
+	}
+	if e.names[id] == "" {
+		e.names[id] = fmt.Sprint(s)
+	}
+	return e.names[id]
+}
+
+func (e *election[S]) LiveStates() int { return e.run.LiveStates() }
 
 func (e *election[S]) HybridStats() (pp.HybridStats, bool) {
 	// Every census engine carries the controller, but only the hybrid
@@ -141,11 +158,11 @@ func SortedCensus(census map[string]int) []CensusEntry {
 	for k, v := range census {
 		entries = append(entries, CensusEntry{State: k, Count: v})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
+	slices.SortFunc(entries, func(a, b CensusEntry) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return entries[i].State < entries[j].State
+		return strings.Compare(a.State, b.State)
 	})
 	return entries
 }

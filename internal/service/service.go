@@ -343,8 +343,10 @@ type Options struct {
 	// Θ(n), so huge n is safe there).
 	MaxN int
 	// MaxNAgent bounds population sizes on the per-agent engine, whose
-	// memory and per-interaction work are Θ(n) (default 10 million —
-	// beyond that a single job would hold gigabytes and a worker for
+	// memory is Θ(n) — 2 B per agent plus the state table, or one state
+	// value per agent once a state-hungry run spills — and whose work is
+	// n interactions per unit of parallel time, one at a time (default
+	// 10 million — beyond that a single job would hold a worker for
 	// hours).
 	MaxNAgent int
 	// MaxNBatch bounds population sizes on the batch and hybrid engines.

@@ -333,10 +333,10 @@ func (m *Manager) decodeSweep(rec store.Record) (*Sweep, bool) {
 }
 
 // runSweep executes one sweep to a terminal state. The cell loop is
-// sweep.Run — the same executor behind cmd/sweep and the harness's
-// Theorem 1 — with the manager's cache-aware runner substituted per
-// cell (Options.RunCell): a cell whose identical experiment already
-// finished is served from the experiment cache or the durable store,
+// sweep.Run — the same executor behind cmd/sweep — with the manager's
+// cache-aware runner substituted per cell (Options.RunCell): a cell
+// whose identical experiment already finished is served from the
+// experiment cache or the durable store,
 // and a simulated cell is shared back into both, so sweeps, standalone
 // experiments and restarts all see one result per canonical spec.
 func (m *Manager) runSweep(s *Sweep) {

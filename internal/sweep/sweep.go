@@ -10,10 +10,11 @@
 // matching Sudo–Masuzawa lower bound's shape, checkable in one request.
 //
 // The package is deliberately service-agnostic: the popprotod sweep run
-// kind, the sweep command-line tool, and the harness's Theorem 1
-// experiment all expand and summarize through here, while execution is
-// pluggable (Options.RunCell) so the service can substitute its
-// cache-aware, store-backed cell runner. The package owns only the grid
+// kind and the sweep command-line tool both expand and summarize through
+// here (the harness's Theorem 1 experiment measures the same cells as
+// plain ensembles and fits them itself), while execution is pluggable
+// (Options.RunCell) so the service can substitute its cache-aware,
+// store-backed cell runner. The package owns only the grid
 // (axis canonicalization and expansion): what a cell means is resolved
 // by ensemble.Canonicalize, the one resolver behind jobs, experiments
 // and cells alike, so a cell is the standalone experiment over its spec.
