@@ -1,0 +1,174 @@
+package service
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"popproto/internal/pp"
+	"popproto/internal/registry"
+)
+
+// marshalSnapshot is the reference encoding of el's current snapshot:
+// the full census, sorted and cut at censusCap, marshaled by
+// encoding/json.
+func marshalSnapshot(t *testing.T, el registry.Election) []byte {
+	t.Helper()
+	entries := registry.SortedCensus(el.Census())
+	snap := Snapshot{
+		Step:         el.Steps(),
+		ParallelTime: el.ParallelTime(),
+		Leaders:      el.Leaders(),
+		Census:       map[string]int{},
+	}
+	for i, e := range entries {
+		if i < censusCap {
+			snap.Census[e.State] = e.Count
+		} else {
+			snap.OmittedStates++
+			snap.OmittedAgents += e.Count
+		}
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestFrameMatchesMarshal: on every catalog entry and engine, at
+// checkpoints through a run, a frame is byte for byte what json.Marshal
+// of the same snapshot produces.
+func TestFrameMatchesMarshal(t *testing.T) {
+	const n = 700
+	for _, entry := range registry.Entries() {
+		for _, engine := range pp.Engines() {
+			el, err := registry.New(registry.Spec{Protocol: entry.Key, N: n, Engine: engine, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var enc frameEncoder
+			for checkpoint := 0; checkpoint < 6; checkpoint++ {
+				if checkpoint > 0 {
+					el.RunSteps(uint64(n)<<(checkpoint-1) + 13) // non-integer parallel times too
+				}
+				frame := enc.encode(el, censusCap)
+				if want := marshalSnapshot(t, el); string(frame.JSON) != string(want) {
+					t.Fatalf("%s/%s at step %d:\n got  %s\n want %s",
+						entry.Key, engine, el.Steps(), frame.JSON, want)
+				}
+				if frame.Step != el.Steps() {
+					t.Fatalf("frame step %d, election at %d", frame.Step, el.Steps())
+				}
+			}
+		}
+	}
+}
+
+// TestAppendJSONFloat: the float format is encoding/json's, at the
+// switches between plain and exponent form and on both sides of them.
+func TestAppendJSONFloat(t *testing.T) {
+	for _, f := range []float64{
+		0, 1, 10.536, 12.2486, 1.0 / 3, 123456789.125, 1e20, 1e21, 1.5e21,
+		1e-6, 9.99e-7, 1e-7, 1.25e-10, 5e-324, math.MaxFloat64, -2.5, -1e-7, -1e22,
+	} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, f); string(got) != string(want) {
+			t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
+		}
+	}
+}
+
+// TestFrameQuotesLikeMarshal: census keys take encoding/json's string
+// escaping, HTML characters, invalid UTF-8 and line separators included.
+func TestFrameQuotesLikeMarshal(t *testing.T) {
+	var enc frameEncoder
+	for _, s := range []string{"X/L e1 c0", `a"b\c`, "<&>", "tab\there", "bad\xffutf8", "sep\u2028\u2029", "Φ=3"} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := enc.quote(s); got != string(want) {
+			t.Errorf("quote(%q) = %s, want %s", s, got, want)
+		}
+	}
+}
+
+// TestWarmFrameAllocs: once a run's states have been rendered, recording
+// a snapshot — TopCensus plus the encode — allocates the frame's bytes
+// and nothing else, however many states are live.
+func TestWarmFrameAllocs(t *testing.T) {
+	for _, spec := range []registry.Spec{
+		{Protocol: "pll", N: 1000, Engine: pp.EngineAgent, Seed: 1},
+		{Protocol: "pll", N: 100_000, Engine: pp.EngineHybrid, Seed: 1},
+		// Hundreds of live identifiers, far past the census cap.
+		{Protocol: "maxid", N: 2000, Engine: pp.EngineCount, Seed: 1},
+	} {
+		el, err := registry.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		el.RunSteps(3 * uint64(spec.N))
+		var enc frameEncoder
+		enc.encode(el, censusCap)
+		allocs := testing.AllocsPerRun(50, func() { enc.encode(el, censusCap) })
+		if allocs != 1 {
+			t.Errorf("%s/%s with %d live states: %.1f allocations per warm frame, want 1 (the frame)",
+				spec.Protocol, spec.Engine, el.LiveStates(), allocs)
+		}
+	}
+}
+
+// countingWriter counts the writes and flushes a stream makes.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	writes, flushes int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+func (w *countingWriter) Flush() {
+	w.flushes++
+	w.ResponseRecorder.Flush()
+}
+
+// TestTraceWritesCoalesce: the replay goes out in one write and one
+// flush, and live events already queued when the stream takes one — here
+// all of them, then the close — go out with it under one more.
+func TestTraceWritesCoalesce(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer m.Close()
+	frame := func(step int) Frame {
+		return Frame{Step: uint64(step), JSON: []byte(fmt.Sprintf(`{"step":%d}`, step))}
+	}
+	live := make(chan Frame, 3)
+	for step := 2; step < 5; step++ {
+		live <- frame(step)
+	}
+	close(live)
+	w := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
+	streamSSE(m, w, httptest.NewRequest("GET", "/", nil), "census",
+		[]Frame{frame(0), frame(1)}, live, func() {}, frameJSON, func() any { return "view" })
+
+	var want strings.Builder
+	for step := 0; step < 5; step++ {
+		fmt.Fprintf(&want, "event: census\ndata: {\"step\":%d}\n\n", step)
+	}
+	want.WriteString("event: done\ndata: \"view\"\n\n")
+	if got := w.Body.String(); got != want.String() {
+		t.Fatalf("stream:\n%s\nwant:\n%s", got, want.String())
+	}
+	if w.writes != 2 || w.flushes != 2 {
+		t.Errorf("%d writes and %d flushes, want 2 and 2 (replay, then the queued events and done)",
+			w.writes, w.flushes)
+	}
+}

@@ -71,7 +71,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "job", m.Get, func(j *Job) {
 			replay, live, cancel := j.Subscribe()
-			streamSSE(m, w, r, "census", replay, live, cancel, func() any { return j.View() })
+			streamSSE(m, w, r, "census", replay, live, cancel, frameJSON, func() any { return j.View() })
 		})
 	})
 
@@ -99,7 +99,7 @@ func NewHandler(m *Manager) http.Handler {
 			if latest != nil {
 				replay = append(replay, *latest)
 			}
-			streamSSE(m, w, r, "aggregate", replay, live, cancel, func() any { return e.View() })
+			streamSSE(m, w, r, "aggregate", replay, live, cancel, marshalJSON, func() any { return e.View() })
 		})
 	})
 
@@ -123,7 +123,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) {
 			replay, live, cancel := s.Subscribe()
-			streamSSE(m, w, r, "cell", replay, live, cancel, func() any { return s.View() })
+			streamSSE(m, w, r, "cell", replay, live, cancel, marshalJSON, func() any { return s.View() })
 		})
 	})
 
@@ -278,14 +278,24 @@ func withRun[R any](w http.ResponseWriter, r *http.Request, what string,
 	fn(run)
 }
 
+// frameJSON is a job frame's event data: its bytes as recorded.
+func frameJSON(f Frame) ([]byte, error) { return f.JSON, nil }
+
+// marshalJSON is the event data of the kinds that keep structured events.
+func marshalJSON[E any](e E) ([]byte, error) { return json.Marshal(e) }
+
 // streamSSE is the one server-sent-events loop every run kind shares:
 // replay the stored events, forward live ones as they are published,
 // and finish with a "done" event carrying the kind's view once the run
 // reaches a terminal state (the run core closes the live channel then —
 // and only then). The subscription's cancel only stops delivery, so
 // returning on a dropped client can never race the publisher.
+//
+// The replay goes out in one write and one flush, and live events that
+// are already queued when one arrives share its flush: a flush is a
+// syscall, and a slow client would otherwise pay one per event.
 func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event string,
-	replay []E, live <-chan E, cancel func(), doneView func() any,
+	replay []E, live <-chan E, cancel func(), encode func(E) ([]byte, error), doneView func() any,
 ) {
 	defer cancel()
 	m.metrics.sseSubscribers.Inc()
@@ -302,12 +312,26 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	emit := func(event string, v any) bool {
-		data, err := json.Marshal(v)
+	// Events are collected in buf and go out with send.
+	var buf []byte
+	add := func(event string, data []byte, err error) bool {
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
+		buf = append(buf, "event: "...)
+		buf = append(buf, event...)
+		buf = append(buf, "\ndata: "...)
+		buf = append(buf, data...)
+		buf = append(buf, "\n\n"...)
+		return true
+	}
+	send := func() bool {
+		if len(buf) == 0 {
+			return true
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err != nil {
 			return false
 		}
 		flusher.Flush()
@@ -315,18 +339,36 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 	}
 
 	for _, e := range replay {
-		if !emit(event, e) {
+		data, err := encode(e)
+		if !add(event, data, err) {
 			return
 		}
+	}
+	if !send() {
+		return
 	}
 	for {
 		select {
 		case e, open := <-live:
+		queued:
+			for open {
+				data, err := encode(e)
+				if !add(event, data, err) {
+					return
+				}
+				select {
+				case e, open = <-live:
+				default:
+					break queued
+				}
+			}
 			if !open {
-				emit("done", doneView())
+				if data, err := json.Marshal(doneView()); add("done", data, err) {
+					send()
+				}
 				return
 			}
-			if !emit(event, e) {
+			if !send() {
 				return
 			}
 		case <-r.Context().Done():

@@ -116,7 +116,9 @@ func runID(prefix, key string) string {
 // would otherwise dominate every payload.
 const censusCap = 32
 
-// Snapshot is one point of a job's census trajectory.
+// Snapshot is one point of a job's census trajectory, the schema of the
+// trace endpoint's census events. A job records each point once, as a
+// Frame holding its encoding.
 type Snapshot struct {
 	Step         uint64  `json:"step"`
 	ParallelTime float64 `json:"parallelTime"`
@@ -182,32 +184,11 @@ type HybridTelemetry struct {
 	SkipEvents    uint64 `json:"skipEvents"`
 }
 
-// topCensus returns the k most populous states (in registry.SortedCensus
-// order, so truncation is deterministic and agrees with the registry's
-// census rendering) and the number of states and agents truncated away.
-// Censuses here are at most a few thousand entries (the census engine's
-// live-state table), so a full sort is fine.
-func topCensus(census map[string]int, k int) (top map[string]int, omittedStates, omittedAgents int) {
-	if len(census) <= k {
-		return census, 0, 0
-	}
-	entries := registry.SortedCensus(census)
-	top = make(map[string]int, k)
-	for _, e := range entries[:k] {
-		top[e.State] = e.Count
-	}
-	for _, e := range entries[k:] {
-		omittedStates++
-		omittedAgents += e.Count
-	}
-	return top, omittedStates, omittedAgents
-}
-
 // Job is one managed simulation: the generic run core plus the job's
 // spec, result, and census-trajectory replay state. All exported
 // methods are safe for concurrent use.
 type Job struct {
-	*runcore.Run[Snapshot]
+	*runcore.Run[Frame]
 
 	spec   JobSpec       // canonicalized
 	rspec  registry.Spec // resolved registry spec
@@ -218,7 +199,7 @@ type Job struct {
 	// callbacks), which is what keeps the trajectory replay atomic with
 	// the fanout.
 	result    *Result
-	snapshots []Snapshot
+	snapshots []Frame
 	maxSnaps  int
 }
 
@@ -267,39 +248,30 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// Subscribe returns the snapshots recorded so far plus a channel of
+// Subscribe returns the frames recorded so far plus a channel of
 // subsequent ones; the channel is closed when the job finishes. For a
 // finished job the replay holds the full stored trajectory and the channel
 // is already closed. The returned cancel function stops delivery (it does
 // NOT close the channel — only job completion does); it is safe to call
 // more than once. A consumer that cancels early must stop reading on its
 // own signal, as the HTTP trace handler does via the request context.
-func (j *Job) Subscribe() (replay []Snapshot, live <-chan Snapshot, cancel func()) {
+func (j *Job) Subscribe() (replay []Frame, live <-chan Frame, cancel func()) {
 	live, cancel = j.Run.Subscribe(256, func() {
-		replay = append([]Snapshot(nil), j.snapshots...)
+		replay = append([]Frame(nil), j.snapshots...)
 	})
 	return replay, live, cancel
 }
 
-// record appends a census snapshot and fans it out to subscribers without
+// record appends a census frame and fans it out to subscribers without
 // blocking the simulation (slow subscribers miss snapshots rather than
 // stalling the run). When the stored trajectory exceeds its cap it is
 // decimated — every other point dropped — keeping it bounded and
 // logarithmically spaced for long runs; the matching cadence doubling
 // lives in ensemble.Drive's chunk schedule, which runJob advances the
 // simulation with.
-func (j *Job) record(el registry.Election) {
-	census, omitStates, omitAgents := topCensus(el.Census(), censusCap)
-	snap := Snapshot{
-		Step:          el.Steps(),
-		ParallelTime:  el.ParallelTime(),
-		Leaders:       el.Leaders(),
-		Census:        census,
-		OmittedStates: omitStates,
-		OmittedAgents: omitAgents,
-	}
-	j.Publish(snap, func() {
-		j.snapshots = append(j.snapshots, snap)
+func (j *Job) record(frame Frame) {
+	j.Publish(frame, func() {
+		j.snapshots = append(j.snapshots, frame)
 		if len(j.snapshots) > j.maxSnaps {
 			kept := j.snapshots[:0]
 			for i := 0; i < len(j.snapshots); i += 2 {
@@ -623,7 +595,7 @@ func (m *Manager) Submit(spec JobSpec) (job *Job, cached bool, err error) {
 	j, outcome, err := m.jobs.Submit(key, runID("j", key), m.decodeJob,
 		func() (*Job, error) {
 			j := &Job{
-				Run:      runcore.NewRun[Snapshot](runID("j", key)),
+				Run:      runcore.NewRun[Frame](runID("j", key)),
 				spec:     canon,
 				rspec:    rspec,
 				target:   target,
@@ -666,7 +638,7 @@ func (m *Manager) decodeJob(rec store.Record) (*Job, bool) {
 		return nil, false
 	}
 	return &Job{
-		Run:      runcore.NewRestoredRun[Snapshot](rec.ID, rec.SavedAt),
+		Run:      runcore.NewRestoredRun[Frame](rec.ID, rec.SavedAt),
 		spec:     canon,
 		rspec:    rspec,
 		target:   target,
@@ -769,9 +741,10 @@ func (m *Manager) runJob(j *Job) {
 	// jobs and ensemble replicates must advance through the same driver
 	// for replicate 0 of an experiment to be bit-identical to the job.
 	// The observe callback records the initial configuration too, so
-	// every trace has ≥ 2 points.
-	canceled := ensemble.Drive(j.Context(), el, j.target, j.budget, j.maxSnaps,
-		func() { j.record(el) })
+	// every trace has ≥ 2 points. Each snapshot is encoded once, here.
+	var enc frameEncoder
+	observe := func() { j.record(enc.encode(el, censusCap)) }
+	canceled := ensemble.Drive(j.Context(), el, j.target, j.budget, j.maxSnaps, observe)
 	if canceled {
 		m.jobs.Finish(j.spec.key(), j, StateCanceled, "canceled", nil)
 		m.metrics.recordRunState(store.KindJob, StateCanceled)
@@ -781,7 +754,7 @@ func (m *Manager) runJob(j *Job) {
 	if last := el.Steps(); j.snapshotCount() == 1 || j.lastSnapshotStep() != last {
 		// Runs that stabilize inside the first chunk still get a final
 		// snapshot distinct from the initial one.
-		j.record(el)
+		observe()
 	}
 
 	res := &Result{
@@ -810,7 +783,12 @@ func (m *Manager) runJob(j *Job) {
 		stable := el.VerifyStable(j.spec.Verify)
 		res.Stable = &stable
 	}
-	res.Census, res.OmittedStates, res.OmittedAgents = topCensus(el.Census(), censusCap)
+	top, omittedStates, omittedAgents := el.TopCensus(censusCap)
+	res.Census = make(map[string]int, len(top))
+	for _, e := range top {
+		res.Census[e.State] = e.Count
+	}
+	res.OmittedStates, res.OmittedAgents = omittedStates, omittedAgents
 	res.WallMillis = time.Since(start).Milliseconds()
 	res.Distribution = cluster.LocalDistribution()
 	m.jobs.Finish(j.spec.key(), j, StateDone, "", func() { j.result = res })

@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -431,7 +432,10 @@ func TestSubscribe(t *testing.T) {
 	if _, open := <-live; open {
 		t.Error("finished job's live channel not closed")
 	}
-	last := replay[len(replay)-1]
+	var last service.Snapshot
+	if err := json.Unmarshal(replay[len(replay)-1].JSON, &last); err != nil {
+		t.Fatal(err)
+	}
 	if last.Leaders != 1 {
 		t.Errorf("final snapshot has %d leaders, want 1", last.Leaders)
 	}

@@ -82,10 +82,17 @@ CACHED=$(curl -fs -X POST -d "$SPEC" "$BASE/v1/jobs" | jq -r '.cached')
 [ "$CACHED" = true ] || { echo "identical resubmission not served from cache" >&2; exit 1; }
 echo "identical resubmission served from cache" >&2
 
-# The SSE trace must replay at least two census snapshots.
-SNAPSHOTS=$(curl -fs -N --max-time 10 "$BASE/v1/jobs/$ID/trace" | grep -c '^event: census' || true)
+# The SSE trace must replay at least two census snapshots, each valid
+# JSON with at most 32 census keys whose counts plus omittedAgents are n.
+TRACE=$(curl -fs -N --max-time 10 "$BASE/v1/jobs/$ID/trace")
+SNAPSHOTS=$(printf '%s\n' "$TRACE" | grep -c '^event: census' || true)
 [ "$SNAPSHOTS" -ge 2 ] || { echo "trace replayed $SNAPSHOTS snapshots, want >= 2" >&2; exit 1; }
-echo "trace replayed $SNAPSHOTS census snapshots" >&2
+COHERENT=$(printf '%s\n' "$TRACE" | sed -n '/^event: census$/{n;s/^data: //p}' |
+  jq -s '[.[] | select((.census | length) <= 32 and (.census | add) + (.omittedAgents // 0) == 100000)] | length') ||
+  { echo "trace census events are not valid JSON" >&2; exit 1; }
+[ "$COHERENT" = "$SNAPSHOTS" ] ||
+  { echo "$COHERENT of $SNAPSHOTS census events have <= 32 keys covering all 100000 agents" >&2; exit 1; }
+echo "trace replayed $SNAPSHOTS census snapshots, each a coherent census of n agents" >&2
 
 # --- hybrid engine: the phase-adaptive engine elects through the service ---
 HYBRID_SPEC='{"protocol": "pll", "n": 100000, "engine": "hybrid", "seed": 42}'
