@@ -504,6 +504,7 @@ func runReplicate(ctx context.Context, entry registry.Entry, spec Spec, rep int,
 		// inconsistency, surfaced rather than panicking the worker.
 		return Replicate{}, fmt.Errorf("ensemble: replicate %d: %w", rep, err)
 	}
+	defer el.Release()
 	if canceled := Drive(ctx, el, entry.Target, spec.Budget, spec.ObsCap, nil); canceled {
 		return Replicate{}, context.Canceled
 	}

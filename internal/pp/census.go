@@ -206,8 +206,8 @@ func (c *CensusSimulator[S]) Count(s S) int {
 // Census returns the multiset of current agent states.
 func (c *CensusSimulator[S]) Census() map[S]int { return c.census() }
 
-// EachState calls f once per live state with its multiplicity, in state
-// table order; id is the state's table index, stable for the run.
+// EachState calls f once per live state with its multiplicity, in no
+// fixed order; id is the state's table index, stable for the run.
 func (c *CensusSimulator[S]) EachState(f func(id int, state S, count int)) { c.eachLive(f) }
 
 // ForEach calls f once per agent. Agents in the population protocol model
@@ -388,7 +388,10 @@ func (c *CensusSimulator[S]) outcome(i, j int32) (int32, int32) {
 	if i2, j2, ok := c.denseOutcome(int(i), int(j)); ok {
 		return i2, j2
 	}
-	i2, j2 := lookup(&c.memo, &c.stateTable, c.n, i, j)
+	if c.memo == nil {
+		c.memo = newRunMemo(c.n)
+	}
+	i2, j2 := lookup(c.memo, &c.stateTable, i, j)
 	c.syncFen()
 	return i2, j2
 }

@@ -35,8 +35,9 @@ type Runner[S comparable] interface {
 	Census() map[S]int
 	// LiveStates returns the number of distinct states currently present.
 	LiveStates() int
-	// EachState calls f once per live state with its multiplicity, at a
-	// cost of O(live states) where the engine keeps a state table. id is
+	// EachState calls f once per live state with its multiplicity, in no
+	// fixed order, at a cost of O(live states) where the engine keeps a
+	// state table (plus the states emptied since the last walk). id is
 	// the state's table index, stable for the run, so callers may cache
 	// per-state work by it; it is -1 where the engine keeps no table (an
 	// agent engine past its spill point, see Simulator).

@@ -3,6 +3,7 @@ package pp
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"popproto/internal/rng"
 )
@@ -15,25 +16,62 @@ import (
 // revisited (PLL visits O(log n) states, a few per time unit); a table
 // that grows that fast (MaxID mints identifiers on nearly every
 // interaction) costs a map insertion per interaction and saves no
-// transitions. Like every engine knob, the rule affects only wall-clock
-// cost, never the chain.
+// transitions. The rule counts only the states a run adds, not those a
+// warm table brought (see Table). Like every engine knob, the rule
+// affects only wall-clock cost, never the chain.
 const (
 	agentSpillStates    = batchDenseStatesHardMax
 	agentSpillMinStates = 64
 	agentSpillRate      = 32
 )
 
+// agentMemoPerAgent sizes the transition memo of a Table that has been
+// handed back: cells per agent, at most 2^memoBits in all. Such a memo is
+// made once per table, so its allocation is paid once for all the runs
+// the table serves.
+const agentMemoPerAgent = 64
+
+// Table is the agent engine's state table, transition memo and agent
+// array, which successive runs of one protocol on one population size
+// may share, one run at a time: NewSimulatorOn borrows a table and
+// Simulator.Release hands it back. A warm table has interned the states
+// earlier runs met and memoized their transitions, so a run on it pays
+// neither again; borrowing clears its census in O(live states). A table
+// changes no chain: a run's outcome depends only on its seed.
+type Table[S comparable] struct {
+	stateTable[S]
+	memo pairMemo
+	ids  []uint16
+}
+
+// NewTable returns an empty table for runs of proto on n agents, with
+// the memo of a single run (see newRunMemo) until its first Release. It
+// panics if n < 1.
+func NewTable[S comparable](proto Protocol[S], n int) *Table[S] {
+	if n < 1 {
+		panic(fmt.Sprintf("pp: population size %d < 1", n))
+	}
+	return &Table[S]{
+		stateTable: newStateTable(proto),
+		memo:       newRunMemo(n),
+		ids:        make([]uint16, n),
+	}
+}
+
 // Simulator executes one population under a protocol, one state per
 // agent. It owns a deterministic random source for the uniform scheduler
 // and incremental counters (steps, leaders, role changes).
 //
-// Agents are 2-byte indexes into the run's state table, the one the
-// census engine keeps, with a leader flag and a live count per state, so
+// Agents are 2-byte indexes into a state table of the kind the census
+// engine keeps, with a leader flag and a live count per state, so
 // censuses cost O(live states), not O(n). Transitions go through the
-// bounded transition memo the census engine uses behind its matrix. Once
-// the spill rule fires (see agentSpillStates) the simulator converts, for
-// the rest of the run, to one state value per agent and calls Transition
-// on every interaction; the chain is the same either way.
+// bounded transition memo the census engine uses behind its matrix. The
+// table and the memo come from a Table, fresh (NewSimulator) or borrowed
+// (NewSimulatorOn); Release hands a borrowed one back for the next run.
+// Once the spill rule fires (see agentSpillStates) the simulator
+// converts, for the rest of the run, to one state value per agent, drops
+// the table and calls Transition on every interaction; the chain is the
+// same either way.
 //
 // A Simulator is not safe for concurrent use; run one per goroutine.
 type Simulator[S comparable] struct {
@@ -47,7 +85,9 @@ type Simulator[S comparable] struct {
 	stateTable[S]
 	ids     []uint16
 	memo    pairMemo
-	checked int // table size at the last spill check
+	base    int       // table size when the run began
+	checked int       // table size at the last spill check
+	table   *Table[S] // the table Release hands back; nil in a clone or once spilled
 
 	// Spilled representation: agents[i] is agent i's state. Non-nil
 	// exactly once the simulator has spilled; the interned fields other
@@ -58,20 +98,58 @@ type Simulator[S comparable] struct {
 }
 
 // NewSimulator creates a population of n agents, all in the protocol's
-// initial state, with the scheduler seeded by seed. It panics if n < 1.
+// initial state, with the scheduler seeded by seed, on a fresh Table. It
+// panics if n < 1.
 func NewSimulator[S comparable](proto Protocol[S], n int, seed uint64) *Simulator[S] {
-	if n < 1 {
-		panic(fmt.Sprintf("pp: population size %d < 1", n))
+	return NewSimulatorOn(NewTable(proto, n), seed)
+}
+
+// NewSimulatorOn is NewSimulator on the borrowed table t: the population
+// has t's protocol and size. The simulator holds t's contents until
+// Release; borrowing t again before then panics.
+func NewSimulatorOn[S comparable](t *Table[S], seed uint64) *Simulator[S] {
+	if t.ids == nil {
+		panic("pp: table borrowed twice")
 	}
 	s := &Simulator[S]{
-		n:          n,
+		n:          len(t.ids),
 		rand:       rng.New(seed),
-		stateTable: newStateTable(proto),
-		ids:        make([]uint16, n),
-		checked:    agentSpillMinStates,
+		stateTable: t.stateTable,
+		ids:        t.ids,
+		memo:       t.memo,
+		table:      t,
 	}
-	s.shift(int32(s.intern(proto.InitialState())), int64(n))
+	*t = Table[S]{}
+	s.clear()
+	s.base = len(s.states)
+	s.checked = s.base + agentSpillMinStates
+	init := s.intern(s.proto.InitialState())
+	for i := range s.ids {
+		s.ids[i] = uint16(init)
+	}
+	s.shift(int32(init), int64(s.n))
 	return s
+}
+
+// Release ends the run and hands back the table it was built on, or
+// returns nil when that table cannot serve another run: the simulator
+// spilled (and dropped it), is a clone (which owns a copy), or the table
+// has grown past agentSpillStates states. A table handed back for the
+// first time trades its single-run memo for one of agentMemoPerAgent
+// cells per agent. The simulator must not be used afterwards.
+func (s *Simulator[S]) Release() *Table[S] {
+	t := s.table
+	if t != nil && len(s.states) <= agentSpillStates {
+		memo := s.memo
+		if len(memo) < memoSize(agentMemoPerAgent*s.n) {
+			memo = newPairMemo(agentMemoPerAgent * s.n)
+		}
+		*t = Table[S]{stateTable: s.stateTable, memo: memo, ids: s.ids}
+	} else {
+		t = nil
+	}
+	*s = Simulator[S]{}
+	return t
 }
 
 // N returns the population size.
@@ -171,7 +249,7 @@ func (s *Simulator[S]) Interact(i, j int) {
 		return
 	}
 	a, b := int32(s.ids[i]), int32(s.ids[j])
-	a2, b2 := lookup(&s.memo, &s.stateTable, s.n, a, b)
+	a2, b2 := lookup(s.memo, &s.stateTable, a, b)
 	if a2 != a {
 		s.move(i, a, a2)
 	}
@@ -203,13 +281,13 @@ func (s *Simulator[S]) spillIfFull() {
 }
 
 func (s *Simulator[S]) spillIfHungry() {
-	k := len(s.states)
+	k := len(s.states) - s.base // the states this run added
 	if k > agentSpillStates ||
 		k > agentSpillMinStates && uint64(k)*uint64(s.n) > agentSpillRate*s.steps {
 		s.spill()
 		return
 	}
-	s.checked = k
+	s.checked = len(s.states)
 }
 
 func (s *Simulator[S]) spill() {
@@ -218,7 +296,7 @@ func (s *Simulator[S]) spill() {
 		s.agents[i] = s.states[id]
 	}
 	s.stateTable = stateTable[S]{proto: s.proto, leaders: s.leaders}
-	s.ids, s.memo = nil, nil
+	s.ids, s.memo, s.table = nil, nil, nil
 }
 
 func (s *Simulator[S]) interactSpilled(i, j int) {
@@ -299,8 +377,9 @@ func (s *Simulator[S]) VerifyStable(extra uint64) bool {
 // Clone returns an independent deep copy of the simulator, including the
 // scheduler position: the original and the clone produce identical
 // futures until their schedules diverge. Cloning is how experiments
-// branch several continuations off one common prefix. The transition memo
-// holds no chain state, so the clone starts without one.
+// branch several continuations off one common prefix. The clone owns
+// copies of the state table and the memo, and Release never hands them
+// to a pool.
 func (s *Simulator[S]) Clone() *Simulator[S] {
 	return &Simulator[S]{
 		n:           s.n,
@@ -308,9 +387,11 @@ func (s *Simulator[S]) Clone() *Simulator[S] {
 		steps:       s.steps,
 		roleChanges: s.roleChanges,
 		stateTable:  s.clone(),
-		ids:         append([]uint16(nil), s.ids...),
+		ids:         slices.Clone(s.ids),
+		memo:        slices.Clone(s.memo),
+		base:        s.base,
 		checked:     s.checked,
-		agents:      append([]S(nil), s.agents...),
+		agents:      slices.Clone(s.agents),
 		seen:        maps.Clone(s.seen),
 	}
 }

@@ -13,8 +13,17 @@ import (
 // a running protocol without its state type parameter. It mirrors the
 // read-and-run subset of pp.Runner[S], with censuses rendered as strings
 // (each protocol's fmt.Stringer spelling where one exists). Censuses cost
-// O(live states) per call: an election renders each state once per run,
-// and TopCensus selects the largest entries without sorting the rest.
+// O(live states) per call: an election renders each state once per state
+// table, and TopCensus selects the largest entries without sorting the
+// rest.
+//
+// An election on the agent engine borrows a warm state table, with its
+// transition memo and rendered state names, from the pool of its spec
+// minus seed and engine, so a run pays for interning, memo misses and
+// rendering only where no earlier run of that spec already did. Release
+// hands the table back for the next election; an election never released
+// simply keeps its table. Any use of an election after Release panics,
+// and slices it returned (TopCensus) must not be read after it.
 type Election interface {
 	// Key returns the registry key the election was built from.
 	Key() string
@@ -60,6 +69,10 @@ type Election interface {
 	// occupancy, handovers) and true when the underlying runner is the
 	// hybrid engine; other engines report false.
 	HybridStats() (pp.HybridStats, bool)
+	// Release ends the election and hands its warm state table, if it
+	// borrowed one that can serve another run, back to its spec's pool.
+	// Call it after the last read; any later use panics.
+	Release()
 }
 
 // election adapts a concrete pp.Runner[S] to the erased Election surface.
@@ -69,13 +82,19 @@ type election[S comparable] struct {
 	target int
 	engine pp.Engine
 	proto  pp.Protocol[S]
-	run    pp.Runner[S]
+	run    pp.Runner[S] // nil once released
+	names  *censusNames[S]
+	pool   poolKey
+	warm   *warm[S] // what Release hands back; nil off the agent engine
+}
 
-	// The census renderings: a slot per distinct rendered name, so
-	// states whose renderings collide (a protocol whose String drops
-	// fields) share one, and slotOf maps a state-table index to its slot
-	// plus one (0: not rendered yet). Census walks fill each slot's count
-	// and list the filled slots in live; top is TopCensus's result.
+// censusNames are an election's census renderings: a slot per distinct
+// rendered name, so states whose renderings collide (a protocol whose
+// String drops fields) share one, and slotOf maps a state-table index to
+// its slot plus one (0: not rendered yet). Census walks fill each slot's
+// count and list the filled slots in live; top is TopCensus's result.
+// Keyed by state-table index, they are pooled with the table.
+type censusNames[S comparable] struct {
 	slots   []censusSlot
 	slotOf  []int32
 	byName  map[string]int32
@@ -93,40 +112,73 @@ type censusSlot struct {
 
 // wrap closes over the state type S at registration time: the one generic
 // instantiation per catalog entry from which every erased call dispatches.
+// On the agent engine it borrows a warm table from the spec's pool, or
+// makes a fresh one.
 func wrap[S comparable](spec Spec, proto pp.Protocol[S], desc string) Election {
 	entry, _ := Lookup(spec.Protocol)
-	return &election[S]{
+	e := &election[S]{
 		key:    spec.Protocol,
 		desc:   desc,
 		target: entry.Target,
 		engine: spec.Engine,
 		proto:  proto,
-		run:    pp.NewRunner(spec.Engine, proto, spec.N, spec.Seed),
+	}
+	if spec.Engine != pp.EngineAgent {
+		e.run = pp.NewRunner(spec.Engine, proto, spec.N, spec.Seed)
+		e.names = new(censusNames[S])
+		return e
+	}
+	e.pool = poolKey{protocol: spec.Protocol, n: spec.N, m: spec.M}
+	w, _ := borrow(e.pool).(*warm[S])
+	if w == nil {
+		w = &warm[S]{table: pp.NewTable(proto, spec.N), names: new(censusNames[S])}
+	}
+	e.run, e.names, e.warm = pp.NewSimulatorOn(w.table, spec.Seed), w.names, w
+	return e
+}
+
+// runner returns the election's runner, or panics once it is released.
+func (e *election[S]) runner() pp.Runner[S] {
+	if e.run == nil {
+		panic(fmt.Sprintf("registry: %s election used after Release", e.key))
+	}
+	return e.run
+}
+
+// Release implements Election. The runner and the census names are
+// dropped first, so a later call panics in runner.
+func (e *election[S]) Release() {
+	sim, _ := e.runner().(*pp.Simulator[S])
+	w := e.warm
+	e.run, e.names, e.warm = nil, nil, nil
+	if w != nil && sim.Release() != nil {
+		giveBack(e.pool, w)
 	}
 }
 
-func (e *election[S]) Key() string           { return e.key }
-func (e *election[S]) Description() string   { return e.desc }
-func (e *election[S]) Target() int           { return e.target }
-func (e *election[S]) N() int                { return e.run.N() }
-func (e *election[S]) Steps() uint64         { return e.run.Steps() }
-func (e *election[S]) ParallelTime() float64 { return e.run.ParallelTime() }
-func (e *election[S]) Leaders() int          { return e.run.Leaders() }
-func (e *election[S]) RunSteps(k uint64)     { e.run.RunSteps(k) }
+func (e *election[S]) Key() string           { e.runner(); return e.key }
+func (e *election[S]) Description() string   { e.runner(); return e.desc }
+func (e *election[S]) Target() int           { e.runner(); return e.target }
+func (e *election[S]) N() int                { return e.runner().N() }
+func (e *election[S]) Steps() uint64         { return e.runner().Steps() }
+func (e *election[S]) ParallelTime() float64 { return e.runner().ParallelTime() }
+func (e *election[S]) Leaders() int          { return e.runner().Leaders() }
+func (e *election[S]) RunSteps(k uint64)     { e.runner().RunSteps(k) }
 
 func (e *election[S]) RunUntilLeaders(target int, maxSteps uint64) (uint64, bool) {
-	return e.run.RunUntilLeaders(target, maxSteps)
+	return e.runner().RunUntilLeaders(target, maxSteps)
 }
 
-func (e *election[S]) VerifyStable(extra uint64) bool { return e.run.VerifyStable(extra) }
+func (e *election[S]) VerifyStable(extra uint64) bool { return e.runner().VerifyStable(extra) }
 
 // Census walks the runner's live states, O(live states) on an engine with
-// a state table, and renders each state once per run.
+// a state table, and renders each state once per table.
 func (e *election[S]) Census() map[string]int {
-	e.walk()
-	out := make(map[string]int, len(e.live))
-	for _, i := range e.live {
-		out[e.slots[i].name] = e.slots[i].count
+	c := e.names
+	c.walk(e.runner())
+	out := make(map[string]int, len(c.live))
+	for _, i := range c.live {
+		out[c.slots[i].name] = c.slots[i].count
 	}
 	return out
 }
@@ -135,10 +187,11 @@ func (e *election[S]) Census() map[string]int {
 // heap whose root is the worst kept entry (built once the first k are
 // in), then sorts those k.
 func (e *election[S]) TopCensus(k int) (top []CensusEntry, omittedStates, omittedAgents int) {
-	e.walk()
-	top = e.top[:0]
-	for _, i := range e.live {
-		entry := CensusEntry{State: e.slots[i].name, Count: e.slots[i].count}
+	c := e.names
+	c.walk(e.runner())
+	top = c.top[:0]
+	for _, i := range c.live {
+		entry := CensusEntry{State: c.slots[i].name, Count: c.slots[i].count}
 		switch {
 		case len(top) < k:
 			if top = append(top, entry); len(top) == k {
@@ -155,7 +208,7 @@ func (e *election[S]) TopCensus(k int) (top []CensusEntry, omittedStates, omitte
 		omittedAgents += entry.Count
 	}
 	slices.SortFunc(top, compareCensus)
-	e.top = top
+	c.top = top
 	return top, omittedStates, omittedAgents
 }
 
@@ -179,67 +232,69 @@ func siftDownWorst(h []CensusEntry, j int) {
 	}
 }
 
-// walk sums the current census into the slots' counts, listing the
-// nonzero slots in e.live.
-func (e *election[S]) walk() {
-	for _, i := range e.live {
-		e.slots[i].count = 0
+// walk sums run's current census into the slots' counts, listing the
+// nonzero slots in c.live.
+func (c *censusNames[S]) walk(run pp.Runner[S]) {
+	for _, i := range c.live {
+		c.slots[i].count = 0
 	}
-	e.live = e.live[:0]
-	if e.collect == nil {
-		e.collect = func(id int, s S, c int) {
-			i := e.slot(id, s)
-			if e.slots[i].count == 0 {
-				e.live = append(e.live, i)
+	c.live = c.live[:0]
+	if c.collect == nil {
+		c.collect = func(id int, s S, n int) {
+			i := c.slot(id, s)
+			if c.slots[i].count == 0 {
+				c.live = append(c.live, i)
 			}
-			e.slots[i].count += c
+			c.slots[i].count += n
 		}
 	}
-	e.run.EachState(e.collect)
+	run.EachState(c.collect)
 }
 
 // slot returns the slot of state s, whose state-table index is id (-1:
 // none, so the state is rendered on every call).
-func (e *election[S]) slot(id int, s S) int32 {
-	if id >= 0 && id < len(e.slotOf) && e.slotOf[id] != 0 {
-		return e.slotOf[id] - 1
+func (c *censusNames[S]) slot(id int, s S) int32 {
+	if id >= 0 && id < len(c.slotOf) && c.slotOf[id] != 0 {
+		return c.slotOf[id] - 1
 	}
 	name := fmt.Sprint(s)
-	i, ok := e.byName[name]
+	i, ok := c.byName[name]
 	if !ok {
-		if e.byName == nil {
-			e.byName = make(map[string]int32)
+		if c.byName == nil {
+			c.byName = make(map[string]int32)
 		}
-		i = int32(len(e.slots))
-		e.slots = append(e.slots, censusSlot{name: name})
-		e.byName[name] = i
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, censusSlot{name: name})
+		c.byName[name] = i
 	}
 	if id >= 0 {
-		if id >= len(e.slotOf) {
-			e.slotOf = append(e.slotOf, make([]int32, id+1-len(e.slotOf))...)
+		if id >= len(c.slotOf) {
+			c.slotOf = append(c.slotOf, make([]int32, id+1-len(c.slotOf))...)
 		}
-		e.slotOf[id] = i + 1
+		c.slotOf[id] = i + 1
 	}
 	return i
 }
 
-func (e *election[S]) LiveStates() int { return e.run.LiveStates() }
+func (e *election[S]) LiveStates() int { return e.runner().LiveStates() }
 
 func (e *election[S]) HybridStats() (pp.HybridStats, bool) {
 	// Every census engine carries the controller, but only the hybrid
 	// engine's results report its telemetry.
+	run := e.runner()
 	if e.engine != pp.EngineHybrid {
 		return pp.HybridStats{}, false
 	}
-	return e.run.(*pp.CensusSimulator[S]).Stats(), true
+	return run.(*pp.CensusSimulator[S]).Stats(), true
 }
 
 func (e *election[S]) LeaderID() int {
+	run := e.runner()
 	if e.engine != pp.EngineAgent {
 		return -1
 	}
 	id := -1
-	e.run.ForEach(func(agent int, s S) {
+	run.ForEach(func(agent int, s S) {
 		if id == -1 && e.proto.Output(s) == pp.Leader {
 			id = agent
 		}

@@ -734,6 +734,9 @@ func (m *Manager) runJob(j *Job) {
 		m.metrics.recordRunState(store.KindJob, StateFailed)
 		return
 	}
+	// Released after the last read of el; the final TopCensus is copied
+	// into the result first.
+	defer el.Release()
 
 	// ensemble.Drive owns the chunk schedule (one parallel-time unit,
 	// doubling on trajectory decimation): the census engines draw
