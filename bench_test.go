@@ -348,19 +348,6 @@ func BenchmarkLargeN_Angluin_CountEngine(b *testing.B) {
 	}
 }
 
-func benchName(n int) string {
-	switch n {
-	case 1024:
-		return "n=1024"
-	case 4096:
-		return "n=4096"
-	case 16384:
-		return "n=16384"
-	default:
-		return "n"
-	}
-}
-
 // BenchmarkSweep_PLL_ScalingRow is the sweep-orchestration acceptance
 // benchmark: the Theorem 1 scaling check as one sweep — PLL across
 // n ∈ {10³, 10⁴, 10⁵} on the auto engine, 10 replicates per cell —

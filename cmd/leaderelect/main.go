@@ -189,8 +189,8 @@ func electEnsemble(spec registry.Spec, replicates int, ciTarget float64, maxStep
 func printCatalog(w io.Writer) {
 	for _, e := range registry.Entries() {
 		fmt.Fprintf(w, "%-10s %s\n", e.Key, e.Summary)
-		fmt.Fprintf(w, "           states %s, expected time %s, stabilizes at %d leader(s)\n",
-			e.States, e.Time, e.Target)
+		fmt.Fprintf(w, "           states %s, expected time %s, stabilizes at %d leader(s), n ≥ %d\n",
+			e.States, e.Time, e.Target, e.MinN)
 		engines := make([]string, 0, 3)
 		for _, eng := range e.SuitableEngines() {
 			engines = append(engines, eng.String())

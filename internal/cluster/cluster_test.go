@@ -31,6 +31,21 @@ func localRunner(workers int) cluster.LocalRunner {
 	}
 }
 
+// rangePartial runs one range of spec as a one-range block, the way a
+// worker runs its lease.
+func rangePartial(t *testing.T, spec ensemble.Spec, rg ensemble.Range) *ensemble.Partial {
+	t.Helper()
+	var p *ensemble.Partial
+	err := ensemble.RunRanges(context.Background(), spec, []ensemble.Range{rg}, 2, func(done *ensemble.Partial) bool {
+		p = done
+		return false
+	})
+	if err != nil {
+		t.Fatalf("RunRanges[%d,%d): %v", rg.Lo, rg.Hi, err)
+	}
+	return p
+}
+
 // noLocal fails the test if the coordinator falls back to local
 // execution — used where remote workers must carry the whole run.
 func noLocal(t *testing.T) cluster.LocalRunner {
@@ -294,11 +309,7 @@ func TestDuplicateCompletionResolvesDeterministically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lease spec: %v", err)
 		}
-		p, err := ensemble.RunRange(context.Background(), wspec, l.Range.Lo, l.Range.Hi, 2)
-		if err != nil {
-			t.Fatalf("RunRange: %v", err)
-		}
-		data, err := p.MarshalBinary()
+		data, err := rangePartial(t, wspec, l.Range).MarshalBinary()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -401,11 +412,7 @@ func TestLeaseExpiryFallsBackLocally(t *testing.T) {
 	// A completion for the long-expired lease is acknowledged but cannot
 	// be accepted: the run is gone.
 	wspec, _ := granted.Spec.Spec()
-	p, err := ensemble.RunRange(context.Background(), wspec, granted.Range.Lo, granted.Range.Hi, 2)
-	if err != nil {
-		t.Fatalf("RunRange: %v", err)
-	}
-	data, _ := p.MarshalBinary()
+	data, _ := rangePartial(t, wspec, granted.Range).MarshalBinary()
 	if ok, err := c.Complete(granted.ID, "w1", data); ok {
 		t.Fatalf("completion on a finished run was accepted (err=%v)", err)
 	}

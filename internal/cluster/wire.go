@@ -3,7 +3,7 @@
 // partition (ensemble.PlanRanges), hands ranges to pull-based workers
 // as expiring leases over HTTP, and left-folds the returned partial
 // aggregates in ascending range order. Because workers execute ranges
-// through the same ensemble.RunRange / ReplicateSeed machinery the
+// through the same ensemble.RunRanges / ReplicateSeed machinery the
 // local executor uses, and the fold is the same ensemble.Partial.Merge,
 // a distributed run is bit-identical to a single-node run of the same
 // spec — which is what lets the service's canonical-key cache and store

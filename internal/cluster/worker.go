@@ -14,15 +14,15 @@ import (
 	"popproto/internal/ensemble"
 )
 
-// Worker pulls replicate-range leases from a coordinator, executes them
-// through ensemble.RunRange (so the partial is bit-identical to any
-// other executor's), and posts back the binary partial aggregate. A
-// background heartbeat keeps each lease alive; if the heartbeat is
-// rejected — the coordinator expired and reissued the range — the
-// worker abandons the range immediately. A worker that simply dies is
-// handled by the same mechanism from the other side: its lease expires
-// and the range is reissued, and because the range's value is
-// deterministic a duplicate completion can never corrupt the merge.
+// Worker pulls replicate-range leases from a coordinator, executes each
+// as a one-range ensemble.RunRanges block (so the partial is
+// bit-identical to any other executor's), and posts back the binary
+// partial aggregate. A background heartbeat keeps each lease alive; if
+// the heartbeat is rejected — the coordinator expired and reissued the
+// range — the worker abandons the range immediately. A worker that
+// simply dies is handled by the same mechanism from the other side: its
+// lease expires and the range is reissued, and because the range's value
+// is deterministic a duplicate completion can never corrupt the merge.
 type Worker struct {
 	// Coordinator is the coordinator's base URL (e.g. http://host:8080).
 	Coordinator string
@@ -165,7 +165,11 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 		}
 	}()
 
-	p, err := ensemble.RunRange(rctx, spec, l.Range.Lo, l.Range.Hi, w.Workers)
+	var p *ensemble.Partial
+	err = ensemble.RunRanges(rctx, spec, []ensemble.Range{l.Range}, w.Workers, func(done *ensemble.Partial) bool {
+		p = done
+		return false
+	})
 	if err != nil {
 		w.logf("cluster worker %s: lease %s range [%d,%d): %v",
 			w.ID, l.ID, l.Range.Lo, l.Range.Hi, err)

@@ -12,7 +12,7 @@
 // the one replication engine behind every experiment of the harness, the
 // examples, the leaderelect -replicates flag, sweeps, cluster leases and
 // the popprotod /v1/experiments API: registry-spec ensembles run through
-// Run, RunRange and RunRanges, and experiments that instrument each run
+// Run and RunRanges, and experiments that instrument each run
 // beyond what a registry election reports fan out through Dispatch, the
 // same worker pool with the same seeds and the same in-order fold.
 //
@@ -398,49 +398,18 @@ func Run(ctx context.Context, spec Spec, opts Options) (Result, error) {
 	}
 }
 
-// RunRange executes replicates [lo, hi) of the spec and returns their
-// Partial — the unit of work a cluster worker performs for one lease.
-// The partial is bit-identical no matter where or with how many workers
-// it is computed (results are added in replicate order). An interrupted
-// range returns ctx's error rather than a partial: a coordinator must
-// only ever merge complete ranges.
-func RunRange(ctx context.Context, spec Spec, lo, hi, workers int) (*Partial, error) {
-	spec, entry, err := Canonicalize(spec)
-	if err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi <= lo || hi > spec.Replicates {
-		return nil, fmt.Errorf("ensemble: invalid replicate range [%d,%d) of %d",
-			lo, hi, spec.Replicates)
-	}
-	start := time.Now()
-	p := NewPartial(lo, hi)
-	err = replicates(ctx, entry, spec, lo, hi, workers, func(r Replicate) bool {
-		p.Add(r)
-		return false
-	})
-	if err != nil {
-		return nil, err
-	}
-	if p.Count < hi-lo {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("ensemble: range [%d,%d) incomplete (%d of %d replicates)",
-			lo, hi, p.Count, hi-lo)
-	}
-	p.ElapsedMillis = time.Since(start).Milliseconds()
-	return p, nil
-}
-
 // RunRanges executes a contiguous ascending block of canonical ranges
 // as one pipelined dispatch (no barrier between ranges), delivering
 // each range's Partial to onRange in range order as it completes.
 // onRange returning true stops the block — this is how a coordinator's
 // early-stopping or reassignment decision propagates into local
-// execution. It is the local-participation engine of the cluster
-// coordinator: the degenerate no-remote-workers case runs the whole
-// partition through one call with full replicate parallelism.
+// execution. It is the one range executor: the cluster coordinator's
+// local participation (the degenerate no-remote-workers case runs the
+// whole partition through one call with full replicate parallelism) and
+// a cluster worker's lease, run as a one-range block. A range's Partial
+// is bit-identical no matter where or with how many workers it is
+// computed. An interrupted block returns ctx's error instead of its
+// unfinished range: a coordinator must only ever merge complete ranges.
 func RunRanges(ctx context.Context, spec Spec, ranges []Range, workers int, onRange func(*Partial) (stop bool)) error {
 	spec, entry, err := Canonicalize(spec)
 	if err != nil {

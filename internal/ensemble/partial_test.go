@@ -35,17 +35,29 @@ func TestPlanRanges(t *testing.T) {
 	}
 }
 
-// runRangePartials executes every canonical range of the spec through
-// RunRange and returns the partials in range order.
+// runRange executes one range of the spec as a one-range RunRanges
+// block, the way a cluster worker runs its lease.
+func runRange(tb testing.TB, spec ensemble.Spec, rg ensemble.Range, workers int) *ensemble.Partial {
+	tb.Helper()
+	var p *ensemble.Partial
+	err := ensemble.RunRanges(context.Background(), spec, []ensemble.Range{rg}, workers,
+		func(done *ensemble.Partial) bool {
+			p = done
+			return false
+		})
+	if err != nil {
+		tb.Fatalf("RunRanges[%d,%d): %v", rg.Lo, rg.Hi, err)
+	}
+	return p
+}
+
+// runRangePartials executes every canonical range of the spec on its
+// own and returns the partials in range order.
 func runRangePartials(t *testing.T, spec ensemble.Spec, workers int) []*ensemble.Partial {
 	t.Helper()
 	var out []*ensemble.Partial
 	for _, rg := range ensemble.PlanRanges(spec.Replicates) {
-		p, err := ensemble.RunRange(context.Background(), spec, rg.Lo, rg.Hi, workers)
-		if err != nil {
-			t.Fatalf("RunRange[%d,%d): %v", rg.Lo, rg.Hi, err)
-		}
-		out = append(out, p)
+		out = append(out, runRange(t, spec, rg, workers))
 	}
 	return out
 }
@@ -166,7 +178,7 @@ func TestMergedRangesMatchSequential(t *testing.T) {
 }
 
 // TestRunRangesMatchesRunRange checks the pipelined block executor
-// produces the same partials as one-at-a-time RunRange.
+// produces the same partials as running each range on its own.
 func TestRunRangesMatchesRunRange(t *testing.T) {
 	spec := pllSpec(600, 48, 13)
 	want := runRangePartials(t, spec, 3)
@@ -264,10 +276,7 @@ func TestMergeValidation(t *testing.T) {
 // re-marshals to the identical bytes.
 func FuzzPartialUnmarshal(f *testing.F) {
 	spec := pllSpec(200, 16, 3)
-	p, err := ensemble.RunRange(context.Background(), spec, 0, 16, 4)
-	if err != nil {
-		f.Fatalf("RunRange: %v", err)
-	}
+	p := runRange(f, spec, ensemble.Range{Lo: 0, Hi: 16}, 4)
 	seed, err := p.MarshalBinary()
 	if err != nil {
 		f.Fatalf("marshal: %v", err)
@@ -296,10 +305,7 @@ func FuzzPartialUnmarshal(f *testing.F) {
 // codec.
 func FuzzSketchUnmarshal(f *testing.F) {
 	spec := pllSpec(200, 16, 3)
-	p, err := ensemble.RunRange(context.Background(), spec, 0, 16, 4)
-	if err != nil {
-		f.Fatalf("RunRange: %v", err)
-	}
+	p := runRange(f, spec, ensemble.Range{Lo: 0, Hi: 16}, 4)
 	seed, err := p.Sketch.MarshalBinary()
 	if err != nil {
 		f.Fatalf("marshal: %v", err)

@@ -126,7 +126,11 @@ func replicate(cfg Config, seed uint64, repCount int, run func(seed uint64) (fol
 
 // runUntil advances sim in checkEvery-step slices until pred holds or the
 // step budget is exhausted, returning the step count at which pred was
-// first observed and whether it was.
+// first observed and whether it was. It is the one check-point loop of
+// the instrumented rows: pred runs once at the start and after every
+// slice, so it is also where a row records series over time. Census
+// observables at those points are counts through pp.CensusBy, at
+// O(live states) each.
 func runUntil[S comparable](
 	sim pp.Runner[S], checkEvery, budget uint64, pred func(pp.Runner[S]) bool,
 ) (uint64, bool) {
@@ -139,17 +143,4 @@ func runUntil[S comparable](
 		}
 		sim.RunSteps(checkEvery)
 	}
-}
-
-// count is the census observable the instrumented rows read at check
-// points: how many agents satisfy pred ("any" is count > 0, "all" is
-// count == sim.N()).
-func count[S comparable](sim pp.Runner[S], pred func(S) bool) int {
-	c := 0
-	sim.ForEach(func(_ int, s S) {
-		if pred(s) {
-			c++
-		}
-	})
-	return c
 }

@@ -9,8 +9,10 @@
 // measurements into a Markdown report — tables and ASCII-chart "figures" —
 // ending in machine-checkable PASS/FAIL verdicts against the paper's
 // claim. Three shared drivers do the work every row used to re-spell:
-// the ensemble-cell grid and its series (drivers.go), census observables
-// at check points (runUntil, count) and the report builder.
+// the ensemble-cell grid and its series (drivers.go), the one
+// check-point loop of the instrumented rows (runUntil, whose predicate
+// reads census observables through pp.CensusBy and records any series a
+// row charts) and the report builder.
 package harness
 
 import (

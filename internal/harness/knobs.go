@@ -163,7 +163,7 @@ func checkAblation(cfg Config, r *report) {
 				if stabTime < 0 && s.Leaders() == 1 {
 					stabTime = s.ParallelTime()
 				}
-				if !residualKnown && count(s, inEpoch4) > 0 {
+				if !residualKnown && pp.CensusBy(s, inEpoch4)[true] > 0 {
 					residualKnown, residual = true, s.Leaders() > 1
 				}
 				return stabTime >= 0 && residualKnown

@@ -11,7 +11,6 @@ import (
 	"popproto/internal/registry"
 	"popproto/internal/stats"
 	"popproto/internal/table"
-	"popproto/internal/trace"
 )
 
 // The instrumented rows: each observes PLL's internals (census
@@ -119,9 +118,7 @@ func checkLemma2(cfg Config, r *report) {
 func checkLemma4(cfg Config, r *report) {
 	n, repCount := pick(cfg, 2048, 256), pick(cfg, 200, 30)
 	p := core.NewForN(n)
-	status := func(st core.Status) func(core.State) bool {
-		return func(s core.State) bool { return s.Status == st }
-	}
+	status := func(s core.State) core.Status { return s.Status }
 
 	minA, minB, minF := n, n, n
 	violations := 0
@@ -129,9 +126,10 @@ func checkLemma4(cfg Config, r *report) {
 	replicate(cfg, cfg.Seed, repCount, func(seed uint64) func() {
 		sim := pp.NewSimulator[core.State](p, n, seed)
 		runUntil(sim, uint64(n), math.MaxUint64, func(s pp.Runner[core.State]) bool {
-			return count(s, status(core.StatusX)) == 0
+			return pp.CensusBy(s, status)[core.StatusX] == 0
 		})
-		a, b, f := count(sim, status(core.StatusA)), count(sim, status(core.StatusB)), n-sim.Leaders()
+		groups := pp.CensusBy(sim, status)
+		a, b, f := groups[core.StatusA], groups[core.StatusB], n-sim.Leaders()
 		t := sim.ParallelTime()
 		return func() {
 			assignTimes = append(assignTimes, t)
@@ -169,7 +167,7 @@ func checkLemma6(cfg Config, r *report) {
 	p := core.NewForN(n)
 	nLogN := float64(n) * math.Log(float64(n))
 	colored := func(s pp.Runner[core.State], color uint8) int {
-		return count(s, func(st core.State) bool { return st.Color == color })
+		return pp.CensusBy(s, func(st core.State) bool { return st.Color == color })[true]
 	}
 
 	p1OK, p2OK, p3OK := 0, 0, 0
@@ -244,7 +242,7 @@ func checkLemma7(cfg Config, r *report) {
 		sim := pp.NewSimulator[core.State](p, n, seed)
 		sim.RunSteps(horizon)
 		leaders := sim.Leaders()
-		epochsBeyond := count(sim, func(s core.State) bool { return s.Epoch > 1 })
+		epochsBeyond := pp.CensusBy(sim, func(s core.State) bool { return s.Epoch > 1 })[true]
 		return func() {
 			survivorCounts[leaders]++
 			hist.Add(leaders)
@@ -305,7 +303,7 @@ func checkLemma8(cfg Config, r *report) {
 		replicate(cfg, cfg.Seed+uint64(n), repCount, func(seed uint64) func() {
 			sim := pp.NewSimulator[core.State](p, n, seed)
 			_, ok := runUntil(sim, uint64(n/2), registry.LogBudget(n), func(s pp.Runner[core.State]) bool {
-				return count(s, inEpoch4) > 0
+				return pp.CensusBy(s, inEpoch4)[true] > 0
 			})
 			if !ok || sim.Leaders() != 1 {
 				return func() {}
@@ -354,7 +352,7 @@ func checkLemma9(cfg Config, r *report) {
 	sums, allReached := timeGrid(cfg, ns, repCount, func(p *core.PLL, n int, seed uint64) (float64, bool) {
 		sim := pp.NewSimulator[core.State](p, n, seed)
 		_, ok := runUntil(sim, uint64(n), 40*registry.LogBudget(n), func(s pp.Runner[core.State]) bool {
-			return count(s, inEpoch4) == s.N()
+			return pp.CensusBy(s, inEpoch4)[true] == s.N()
 		})
 		return sim.ParallelTime(), ok
 	})
@@ -386,27 +384,37 @@ func checkTrajectory(cfg Config, r *report) {
 	// "pll" is in the catalog, so resolution cannot fail.
 	spec, _ := registry.ResolveEngine(registry.Spec{Protocol: "pll", N: n, Engine: cfg.Engine})
 	sim := pp.NewRunner[core.State](spec.Engine, p, n, cfg.Seed)
-	rec := trace.NewRecorder(sim, 1.0,
-		trace.LeaderProbe[core.State](),
-		trace.CountProbe[core.State]("unassigned (V_X)", func(s core.State) bool { return s.Status == core.StatusX }),
-		trace.CountProbe[core.State]("epoch ≥ 2", func(s core.State) bool { return s.Epoch >= 2 }),
-		trace.CountProbe[core.State]("epoch 4", inEpoch4),
-	)
-	reachedOne := rec.RunUntil(30*float64(core.CeilLog2(n)), func(s pp.Runner[core.State]) bool {
+	census := func(pred func(core.State) bool) func(pp.Runner[core.State]) float64 {
+		return func(s pp.Runner[core.State]) float64 { return float64(pp.CensusBy(s, pred)[true]) }
+	}
+	series := []asciichart.Series{{Name: "leaders"}, {Name: "unassigned (V_X)"}, {Name: "epoch ≥ 2"}, {Name: "epoch 4"}}
+	samplers := []func(pp.Runner[core.State]) float64{
+		func(s pp.Runner[core.State]) float64 { return float64(s.Leaders()) },
+		census(func(s core.State) bool { return s.Status == core.StatusX }),
+		census(func(s core.State) bool { return s.Epoch >= 2 }),
+		census(inEpoch4),
+	}
+	// Sample every series at each check point, once per parallel time unit.
+	_, reachedOne := runUntil(sim, uint64(n), uint64(30*core.CeilLog2(n)*n), func(s pp.Runner[core.State]) bool {
+		for i, sample := range samplers {
+			series[i].X = append(series[i].X, s.ParallelTime())
+			series[i].Y = append(series[i].Y, sample(s))
+		}
 		return s.Leaders() == 1
 	})
-	leaders, _ := rec.SeriesByName("leaders")
-	unassigned, _ := rec.SeriesByName("unassigned (V_X)")
+	last := func(i int) int { return int(series[i].Y[len(series[i].Y)-1]) }
+	leaders, unassigned := last(0), last(1)
 
 	r.printf("One run at n = %d (seed %d), sampled every parallel time unit.\n\n", n, cfg.Seed)
-	r.printf("```\n%s```\n\n", rec.Chart(asciichart.Options{Width: 66, Height: 18, YLabel: "agents"}))
+	r.printf("```\n%s```\n\n", asciichart.Plot(series,
+		asciichart.Options{Width: 66, Height: 18, XLabel: "parallel time", YLabel: "agents"}))
 	r.printf("Final leader count %d at t = %s parallel time; the leader count collapses "+
 		"during QuickElimination (while V_X drains in the first few units), and the epoch "+
 		"series step up every ≈ cmax/2 = %.1f parallel time as the count-up clock wraps.\n",
-		int(leaders.Last()), f1(sim.ParallelTime()), float64(p.Params().CMax)/2)
+		leaders, f1(sim.ParallelTime()), float64(p.Params().CMax)/2)
 
 	r.verdict("the run elects exactly one leader within the charted horizon", reachedOne,
-		"leaders = %d at t = %s", int(leaders.Last()), f1(sim.ParallelTime()))
-	r.verdict("every agent is assigned a status early in the run (Lemma 4 regime)", unassigned.Last() == 0,
-		"|V_X| = %d at the end of the trace", int(unassigned.Last()))
+		"leaders = %d at t = %s", leaders, f1(sim.ParallelTime()))
+	r.verdict("every agent is assigned a status early in the run (Lemma 4 regime)", unassigned == 0,
+		"|V_X| = %d at the end of the trace", unassigned)
 }

@@ -2,7 +2,6 @@ package pp
 
 import (
 	"fmt"
-	"maps"
 	"math"
 
 	"popproto/internal/rng"
@@ -72,8 +71,6 @@ type CensusSimulator[S comparable] struct {
 	fenDirty bool    // round mode defers Fenwick maintenance (see ensureFen)
 
 	roleChanges uint64
-
-	seen map[S]struct{} // non-nil only when TrackStates was called
 
 	// Round policy (see TuneRounds). expRound caches √(πn/8) ≈ 0.627·√n,
 	// the asymptotic expected round length of the birthday law over
@@ -225,27 +222,6 @@ func (c *CensusSimulator[S]) ForEach(f func(id int, state S)) {
 	}
 }
 
-// TrackStates enables recording of every distinct agent state observed from
-// now on (including current states). Tracking itself is free — the census
-// already materializes every state it meets — but aggregate rounds do not
-// attribute observations, so the controller leaves round mode while it is
-// active.
-func (c *CensusSimulator[S]) TrackStates() {
-	if c.seen != nil {
-		return
-	}
-	c.seen = make(map[S]struct{}, len(c.states))
-	for i, cnt := range c.counts {
-		if cnt > 0 {
-			c.seen[c.states[i]] = struct{}{}
-		}
-	}
-}
-
-// DistinctStates returns the number of distinct agent states observed since
-// TrackStates was enabled, or 0 if tracking is disabled.
-func (c *CensusSimulator[S]) DistinctStates() int { return len(c.seen) }
-
 // --- Fenwick cumulative-weight table ------------------------------------
 
 // stateIndex returns the dense index of s, registering it on first sight.
@@ -372,9 +348,6 @@ func (c *CensusSimulator[S]) moveOne(from, to int) {
 	c.fenAdd(to, 1)
 	if c.isLeader[from] != c.isLeader[to] {
 		c.roleChanges++
-	}
-	if c.seen != nil {
-		c.seen[c.states[to]] = struct{}{}
 	}
 }
 
@@ -578,9 +551,6 @@ func (c *CensusSimulator[S]) Clone() *CensusSimulator[S] {
 	d.stateTable = c.clone()
 	d.fen = append([]int64(nil), c.fen...)
 	d.order = append([]int32(nil), c.order...)
-	if c.seen != nil {
-		d.seen = maps.Clone(c.seen)
-	}
 	d.derived = derived{}
 	return &d
 }

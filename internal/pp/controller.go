@@ -30,8 +30,7 @@ const (
 	ModeRound HybridMode = iota
 	// ModeInteract samples one interacting state pair at a time through
 	// the Fenwick cumulative-weight table. The fallback when the live
-	// support is too wide for aggregate draws to amortize or state
-	// tracking is active.
+	// support is too wide for aggregate draws to amortize.
 	ModeInteract
 	// ModeSkip jumps geometrically distributed runs of census-preserving
 	// interactions and applies the next state-changing pair directly.
@@ -97,11 +96,10 @@ type HybridStats struct {
 	SkipSteps     uint64
 	Handovers     uint64
 
-	// RoundEligible reports whether rounds are permitted at all: state
-	// tracking attributes observations per interaction (aggregate paths
-	// cannot), and the dense transition matrix bounds the state table.
-	// The controller clamps any policy's ModeRound request to
-	// ModeInteract while this is false.
+	// RoundEligible reports whether rounds are permitted at all: the
+	// dense transition matrix bounds the state table. The controller
+	// clamps any policy's ModeRound request to ModeInteract while this is
+	// false.
 	RoundEligible bool
 }
 
@@ -144,7 +142,7 @@ func (c *CensusSimulator[S]) Stats() HybridStats {
 		InteractSteps:     c.modeSteps[ModeInteract],
 		SkipSteps:         c.modeSteps[ModeSkip],
 		Handovers:         c.handovers,
-		RoundEligible:     c.roundEligible(),
+		RoundEligible:     c.denseEligible(),
 	}
 }
 
@@ -198,24 +196,15 @@ func (c *CensusSimulator[S]) advance(limit uint64, target int) {
 }
 
 // handoverMode consults the custom handover policy and clamps its answer
-// to the correctness envelope: rounds are unavailable while state tracking
-// is active or the state table outgrew the dense transition matrix. (The
-// built-in policies request rounds only when roundsPay, which implies
-// roundEligible.)
+// to the correctness envelope: rounds are unavailable once the state
+// table outgrew the dense transition matrix. (The built-in policies
+// request rounds only when roundsPay, which implies denseEligible.)
 func (c *CensusSimulator[S]) handoverMode() HybridMode {
 	m := c.handover(c.Stats())
-	if m == ModeRound && !c.roundEligible() || m > ModeSkip {
+	if m == ModeRound && !c.denseEligible() || m > ModeSkip {
 		return ModeInteract
 	}
 	return m
-}
-
-// roundEligible reports whether round mode is permitted at all (the
-// correctness/memory envelope, not the cost model): aggregate paths do
-// not attribute per-interaction state observations, and the dense
-// transition matrix bounds the state table.
-func (c *CensusSimulator[S]) roundEligible() bool {
-	return c.seen == nil && c.denseEligible()
 }
 
 // roundsPay is the round cost model shared by the batch and hybrid
@@ -224,7 +213,7 @@ func (c *CensusSimulator[S]) roundEligible() bool {
 // amortize.
 func (c *CensusSimulator[S]) roundsPay(limit uint64) bool {
 	return limit-c.steps >= batchMinRound && c.n >= c.minRoundN &&
-		c.live <= c.maxLiveForRounds() && c.roundEligible()
+		c.live <= c.maxLiveForRounds() && c.denseEligible()
 }
 
 // pinnedMode is the fixed policy of EngineCount and EngineBatch. Both
@@ -277,8 +266,8 @@ func (c *CensusSimulator[S]) pinnedMode(limit uint64) HybridMode {
 //     directly, unlike the pinned policies, which exit to per-interaction
 //     sampling and must rediscover inertness.
 //   - Per-interaction sampling covers the remainder: wide live support,
-//     populations too small for rounds, state tracking, or budget tails
-//     shorter than a minimal round. A long sampled no-op streak hands
+//     populations too small for rounds, or budget tails shorter than a
+//     minimal round. A long sampled no-op streak hands
 //     over to the skipper exactly like the pinned policies.
 func (c *CensusSimulator[S]) payoffMode(limit uint64) HybridMode {
 	switch c.mode {

@@ -101,21 +101,6 @@ func TestCountSimulatorPanicsOnSingletonStep(t *testing.T) {
 	sim.Step()
 }
 
-func TestCountSimulatorTrackStates(t *testing.T) {
-	sim := pp.NewCountSimulator[bool](duel, 16, 2)
-	if sim.DistinctStates() != 0 {
-		t.Fatal("tracking should be off by default")
-	}
-	sim.TrackStates()
-	if sim.DistinctStates() != 1 {
-		t.Fatalf("distinct initial states = %d, want 1", sim.DistinctStates())
-	}
-	sim.RunUntilLeaders(1, 1<<40)
-	if sim.DistinctStates() != 2 {
-		t.Fatalf("distinct states after election = %d, want 2", sim.DistinctStates())
-	}
-}
-
 func TestCountSimulatorForEachEmitsEveryAgent(t *testing.T) {
 	sim := pp.NewCountSimulator[bool](duel, 100, 4)
 	sim.RunSteps(500)

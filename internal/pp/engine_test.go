@@ -41,8 +41,9 @@ func TestParseEngineErrorListsValidNames(t *testing.T) {
 }
 
 // TestEachStateMatchesCensus: on every engine, EachState and LiveStates
-// agree with Census, and ids are distinct table indexes — until the agent
-// engine spills, after which it reports id -1. mint mints about one state
+// agree with Census, CensusBy agrees with a count through ForEach, and
+// ids are distinct table indexes — until the agent engine spills, after
+// which it reports id -1. mint mints about one state
 // per interaction, so the agent engine spills within its first few
 // hundred interactions; leader accounting survives the spill, including
 // through SetState.
@@ -72,6 +73,14 @@ func TestEachStateMatchesCensus(t *testing.T) {
 			}
 			if wantSpill := e == pp.EngineAgent && k == 5000; spilled != wantSpill {
 				t.Errorf("%s after %d steps: spilled = %v, want %v", e, r.Steps(), spilled, wantSpill)
+			}
+			// CensusBy walks EachState; it must agree with a count over
+			// every agent.
+			classify := func(s mintState) mintState { return s % 4 }
+			perAgent := make(map[mintState]int)
+			r.ForEach(func(_ int, s mintState) { perAgent[classify(s)]++ })
+			if by := pp.CensusBy(r, classify); !reflect.DeepEqual(by, perAgent) {
+				t.Errorf("%s after %d steps: CensusBy = %v, ForEach counts %v", e, r.Steps(), by, perAgent)
 			}
 		}
 	}

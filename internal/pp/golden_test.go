@@ -51,7 +51,8 @@ func goldenSnapshot[S comparable](r pp.Runner[S]) string {
 
 // goldenChain renders one (engine, protocol, seed) combination: fixed
 // RunSteps chunks, the RunUntilLeaders first-hit step, a TrackStates run
-// and a mid-run Clone continuation, each from a fresh simulator.
+// (agent engine only: the census engines keep no record of visited
+// states) and a mid-run Clone continuation, each from a fresh simulator.
 func goldenChain[S comparable](engine pp.Engine, proto pp.Protocol[S], n int, seed uint64,
 	chunks []uint64, budget uint64) []string {
 	prefix := fmt.Sprintf("%s/%s/n=%d/seed=%d", engine, proto.Name(), n, seed)
@@ -68,10 +69,11 @@ func goldenChain[S comparable](engine pp.Engine, proto pp.Protocol[S], n int, se
 	steps, ok := r.RunUntilLeaders(1, budget)
 	emit("until", fmt.Sprintf("hit=%d ok=%v %s", steps, ok, goldenSnapshot(r)))
 
-	r = pp.NewRunner(engine, proto, n, seed)
-	r.TrackStates()
-	r.RunSteps(chunks[len(chunks)-1])
-	emit("track", fmt.Sprintf("distinct=%d %s", r.DistinctStates(), goldenSnapshot(r)))
+	if sim, ok := pp.NewRunner(engine, proto, n, seed).(*pp.Simulator[S]); ok {
+		sim.TrackStates()
+		sim.RunSteps(chunks[len(chunks)-1])
+		emit("track", fmt.Sprintf("distinct=%d %s", sim.DistinctStates(), goldenSnapshot[S](sim)))
+	}
 
 	r = pp.NewRunner(engine, proto, n, seed)
 	r.RunSteps(chunks[len(chunks)-1] / 2)

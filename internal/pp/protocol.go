@@ -4,10 +4,11 @@
 // function, and a uniformly random scheduler that picks one ordered pair
 // (initiator, responder) per step.
 //
-// The package provides the generic simulation engine used by every protocol
-// in this repository: incremental leader accounting, deterministic and
-// adversarial schedules for safety testing, state censuses, stabilization
-// detection, and a parallel batch runner for expectation estimates.
+// The package provides the generic simulation engines used by every
+// protocol in this repository: incremental leader accounting,
+// deterministic and adversarial schedules for safety testing, state
+// censuses read in O(live states), and stabilization detection.
+// Replicated runs for expectation estimates live in internal/ensemble.
 //
 // Time is reported both in interaction steps and in parallel time
 // (steps divided by n), matching the paper's convention.

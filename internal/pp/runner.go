@@ -17,9 +17,13 @@ import (
 // Agent identities are the one place the engines differ: the census engine
 // tracks only state multiplicities, so its ForEach ids are synthetic (agents
 // in the population protocol model are anonymous, so no observable quantity
-// may depend on them). Operations that address individual agents (State,
-// SetState, Interact, RunSchedule) are deliberately not part of Runner; they
-// remain on Simulator for the safety experiments that need them.
+// may depend on them). Census observables are read through EachState, at
+// O(live states) per read; CensusBy is the one predicate count built on it.
+// Operations that address individual agents (State, SetState, Interact,
+// RunSchedule) and the record of every distinct state a run visits
+// (TrackStates, DistinctStates) are deliberately not part of Runner; they
+// remain on Simulator for the safety and state-count experiments that need
+// them.
 type Runner[S comparable] interface {
 	// N returns the population size.
 	N() int
@@ -55,11 +59,6 @@ type Runner[S comparable] interface {
 	// VerifyStable runs extra interactions and reports whether no output
 	// changed during them.
 	VerifyStable(extra uint64) bool
-	// TrackStates enables recording of distinct states observed.
-	TrackStates()
-	// DistinctStates returns the number of distinct states observed since
-	// TrackStates, or 0 if tracking is disabled.
-	DistinctStates() int
 	// CloneRunner returns an independent deep copy, including the scheduler
 	// position.
 	CloneRunner() Runner[S]

@@ -214,8 +214,10 @@ func (s *Simulator[S]) ForEach(f func(id int, state S)) {
 }
 
 // TrackStates enables recording of every distinct agent state ever observed
-// (including current states). It costs a map insertion per state change
-// and is used by the Lemma 3 / Table 3 state-count experiments.
+// (including current states). It costs a map insertion per state change,
+// leaves the chain unchanged, and is used by the Lemma 3 / Table 3
+// state-count experiments. Only the agent engine records visited states:
+// the census engines' aggregate rounds never see individual states.
 func (s *Simulator[S]) TrackStates() {
 	if s.seen != nil {
 		return
@@ -425,12 +427,14 @@ func (s *Simulator[S]) EachState(f func(id int, state S, count int)) {
 }
 
 // CensusBy aggregates the current configuration of sim by an arbitrary
-// classifier, e.g. the paper's groups V_X, V_B, V_A∩V_1, …. It works on
-// either engine.
+// classifier, e.g. the paper's groups V_X, V_B, V_A∩V_1, …, at the cost
+// of one EachState walk: O(live states) on every engine that keeps a
+// state table. Counting the agents that satisfy a predicate is
+// CensusBy(sim, pred)[true].
 func CensusBy[S comparable, K comparable](sim Runner[S], classify func(S) K) map[K]int {
 	c := make(map[K]int)
-	sim.ForEach(func(_ int, st S) {
-		c[classify(st)]++
+	sim.EachState(func(_ int, st S, n int) {
+		c[classify(st)] += n
 	})
 	return c
 }

@@ -29,10 +29,6 @@ import (
 	"popproto/internal/pp"
 )
 
-// MinN is the smallest population any catalog entry accepts: the scheduler
-// needs an ordered pair of distinct agents.
-const MinN = 2
-
 // ErrBadSpec reports a Spec the registry rejected; errors.Is(err, ErrBadSpec)
 // distinguishes caller mistakes (HTTP 400s) from internal failures.
 var ErrBadSpec = errors.New("registry: invalid spec")
@@ -43,7 +39,7 @@ var ErrBadSpec = errors.New("registry: invalid spec")
 type Spec struct {
 	// Protocol is the catalog key (see Keys).
 	Protocol string
-	// N is the population size; every entry requires N ≥ MinN.
+	// N is the population size; each entry requires N ≥ its MinN.
 	N int
 	// Engine selects the simulation engine.
 	Engine pp.Engine
@@ -77,6 +73,11 @@ type Entry struct {
 	// 1 for elections, 0 for the epidemic coverage workload (whose
 	// "leaders" are the agents not yet reached).
 	Target int
+	// MinN is the smallest population the entry accepts: 2 wherever the
+	// scheduler's one ordered pair of distinct agents suffices, 3 for the
+	// symmetric PLL variant, whose two agents at n = 2 stay in identical
+	// states forever (see core.NewSymmetric).
+	MinN int
 	// Params documents the protocol-specific Spec knobs beyond
 	// n/engine/seed.
 	Params []ParamDoc
@@ -206,6 +207,7 @@ func init() {
 			States:         "O(log n)",
 			Time:           "O(log n)",
 			Target:         1,
+			MinN:           2,
 			Params: []ParamDoc{{
 				Name: "m",
 				Doc:  "knowledge parameter m ≥ ⌈lg n⌉ with m = Θ(log n); 0 = canonical ⌈lg n⌉",
@@ -236,6 +238,7 @@ func init() {
 			States:         "O(log n)",
 			Time:           "O(log n)",
 			Target:         1,
+			MinN:           3,
 			Params: []ParamDoc{{
 				Name: "m",
 				Doc:  "knowledge parameter m ≥ ⌈lg n⌉ with m = Θ(log n); 0 = canonical ⌈lg n⌉",
@@ -267,6 +270,7 @@ func init() {
 			States:         "O(1)",
 			Time:           "O(n)",
 			Target:         1,
+			MinN:           2,
 			build: func(spec Spec) (Election, error) {
 				if err := noM(spec); err != nil {
 					return nil, err
@@ -284,6 +288,7 @@ func init() {
 			States:         "O(log n)",
 			Time:           "Θ(n) (simplified; orig. polylog)",
 			Target:         1,
+			MinN:           2,
 			build: func(spec Spec) (Election, error) {
 				if err := noM(spec); err != nil {
 					return nil, err
@@ -303,6 +308,7 @@ func init() {
 			States:         "poly(n)",
 			Time:           "O(log n)",
 			Target:         1,
+			MinN:           2,
 			build: func(spec Spec) (Election, error) {
 				if err := noM(spec); err != nil {
 					return nil, err
@@ -321,6 +327,7 @@ func init() {
 			States:         "O(1)",
 			Time:           "O(log n)",
 			Target:         0,
+			MinN:           2,
 			build: func(spec Spec) (Election, error) {
 				if err := noM(spec); err != nil {
 					return nil, err
@@ -367,8 +374,9 @@ func validate(spec Spec) (Entry, error) {
 		return Entry{}, fmt.Errorf("%w: unknown protocol %q (valid: %s)",
 			ErrBadSpec, spec.Protocol, strings.Join(Keys(), ", "))
 	}
-	if spec.N < MinN {
-		return Entry{}, fmt.Errorf("%w: population size %d < %d", ErrBadSpec, spec.N, MinN)
+	if spec.N < entry.MinN {
+		return Entry{}, fmt.Errorf("%w: population size %d < %d for protocol %q",
+			ErrBadSpec, spec.N, entry.MinN, spec.Protocol)
 	}
 	// Derived from pp.Engines, so a new engine is accepted here the moment
 	// it exists rather than when someone remembers this switch. The

@@ -1,10 +1,13 @@
 package registry_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"popproto/internal/ensemble"
 	"popproto/internal/pp"
 	"popproto/internal/registry"
 )
@@ -53,6 +56,7 @@ func TestNewRejectsBadSpecs(t *testing.T) {
 		{"unknown protocol", registry.Spec{Protocol: "raft", N: 100}, "unknown protocol"},
 		{"n too small", registry.Spec{Protocol: "pll", N: 1}, "population size"},
 		{"n negative", registry.Spec{Protocol: "angluin", N: -5}, "population size"},
+		{"symmetric pair", registry.Spec{Protocol: "pll-sym", N: 2}, "population size"},
 		{"bad engine", registry.Spec{Protocol: "pll", N: 100, Engine: pp.Engine(9)}, "unknown engine"},
 		{"m too small for n", registry.Spec{Protocol: "pll", N: 1 << 20, M: 3}, "m ≥ log₂ n"},
 		{"m negative", registry.Spec{Protocol: "pll-sym", N: 100, M: -1}, "m ="},
@@ -75,6 +79,47 @@ func TestNewRejectsBadSpecs(t *testing.T) {
 				t.Errorf("New returned a non-nil election alongside the error")
 			}
 		})
+	}
+}
+
+// TestSmallSpecsBuildAndRun: at the smallest population sizes, on every
+// engine, a spec either fails Validate (exactly below the entry's MinN,
+// with New failing the same way) or builds and runs a short Drive. A
+// spec that passes Validate must never panic: the service builds it on a
+// worker goroutine, where a panic ends the process.
+func TestSmallSpecsBuildAndRun(t *testing.T) {
+	engines := append(pp.Engines(), pp.EngineAuto)
+	for _, entry := range registry.Entries() {
+		for n := 0; n <= 4; n++ {
+			for _, engine := range engines {
+				spec := registry.Spec{Protocol: entry.Key, N: n, Engine: engine, Seed: 1}
+				t.Run(fmt.Sprintf("%s/n=%d/%s", entry.Key, n, engine), func(t *testing.T) {
+					_, verr := registry.Validate(spec)
+					if (verr == nil) != (n >= entry.MinN) {
+						t.Fatalf("Validate = %v with MinN %d", verr, entry.MinN)
+					}
+					el, err := registry.New(spec)
+					if verr != nil {
+						if !errors.Is(err, registry.ErrBadSpec) {
+							t.Fatalf("New = %v, want ErrBadSpec as Validate reported", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("Validate accepted the spec but New failed: %v", err)
+					}
+					defer el.Release()
+					ensemble.Drive(context.Background(), el, entry.Target, uint64(100*n), 0, nil)
+					total := 0
+					for _, c := range el.Census() {
+						total += c
+					}
+					if total != n {
+						t.Fatalf("census sums to %d after %d steps, want %d", total, el.Steps(), n)
+					}
+				})
+			}
+		}
 	}
 }
 

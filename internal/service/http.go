@@ -159,12 +159,14 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // protocolDoc is the catalog rendering of a registry entry.
 type protocolDoc struct {
-	Key     string     `json:"key"`
-	Summary string     `json:"summary"`
-	States  string     `json:"states"`
-	Time    string     `json:"time"`
-	Target  int        `json:"target"`
-	Params  []paramDoc `json:"params,omitempty"`
+	Key     string `json:"key"`
+	Summary string `json:"summary"`
+	States  string `json:"states"`
+	Time    string `json:"time"`
+	Target  int    `json:"target"`
+	// MinN is the smallest population a spec for this protocol may name.
+	MinN   int        `json:"minN"`
+	Params []paramDoc `json:"params,omitempty"`
 	// Engines lists the engines that scale to large n for this protocol,
 	// in preference order, plus the pseudo-engine "auto", which resolves
 	// to the recommendation per population size (every engine is
@@ -190,6 +192,7 @@ func handleProtocols(w http.ResponseWriter, _ *http.Request) {
 			States:            e.States,
 			Time:              e.Time,
 			Target:            e.Target,
+			MinN:              e.MinN,
 			RecommendedEngine: e.RecommendedEngine(1_000_000).String(),
 		}
 		for _, p := range e.Params {

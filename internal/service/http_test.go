@@ -57,6 +57,7 @@ func TestProtocolsEndpoint(t *testing.T) {
 			Key     string `json:"key"`
 			Summary string `json:"summary"`
 			Target  int    `json:"target"`
+			MinN    int    `json:"minN"`
 			Params  []struct {
 				Name string `json:"name"`
 				Doc  string `json:"doc"`
@@ -70,6 +71,13 @@ func TestProtocolsEndpoint(t *testing.T) {
 		keys[p.Key] = true
 		if p.Summary == "" {
 			t.Errorf("protocol %q has no summary", p.Key)
+		}
+		wantMinN := 2
+		if p.Key == "pll-sym" {
+			wantMinN = 3 // two symmetric agents never break their tie
+		}
+		if p.MinN != wantMinN {
+			t.Errorf("protocol %q has minN %d, want %d", p.Key, p.MinN, wantMinN)
 		}
 		if p.Key == "pll" {
 			if len(p.Params) == 0 || p.Params[0].Name != "m" || p.Params[0].Doc == "" {
@@ -191,6 +199,7 @@ func TestSubmitValidationErrors(t *testing.T) {
 		{"unknown field", `{"protocol": "pll", "n": 100, "flux": 1}`, "unknown field"},
 		{"unknown protocol", `{"protocol": "paxos", "n": 100}`, "unknown protocol"},
 		{"n too small", `{"protocol": "pll", "n": 1}`, "population size"},
+		{"symmetric pair", `{"protocol": "pll-sym", "n": 2}`, "population size"},
 		{"n over limit", `{"protocol": "pll", "n": 5000}`, "exceeds this server's count-engine limit"},
 		{"bad engine", `{"protocol": "pll", "n": 100, "engine": "gpu"}`, "unknown engine"},
 		{"m on m-less protocol", `{"protocol": "angluin", "n": 100, "m": 8}`, "takes no m"},

@@ -25,10 +25,6 @@ import (
 	"time"
 )
 
-type benchPayload struct {
-	Steps uint64 `json:"steps"`
-}
-
 // v1Store reproduces the v1 store's write path: one JSON-encoded line
 // appended and fsynced per Put, under a mutex.
 type v1Store struct {
