@@ -267,8 +267,8 @@ func (c *CensusSimulator[S]) pinnedMode(limit uint64) HybridMode {
 //     sampling and must rediscover inertness.
 //   - Per-interaction sampling covers the remainder: wide live support,
 //     populations too small for rounds, or budget tails shorter than a
-//     minimal round. A long sampled no-op streak hands
-//     over to the skipper exactly like the pinned policies.
+//     minimal round. A long sampled no-op streak hands over to the
+//     skipper exactly like the pinned policies.
 func (c *CensusSimulator[S]) payoffMode(limit uint64) HybridMode {
 	switch c.mode {
 	case ModeRound:
