@@ -45,7 +45,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -267,7 +269,9 @@ type Result struct {
 // replicates are drained, not incorporated. Replicates interrupted by
 // cancellation (external or a stop) are dropped silently — the caller
 // decides from ctx and its own counts how to report a shortfall; any
-// other run error cancels the dispatch and is returned.
+// other run error cancels the dispatch and is returned. A panicking
+// replicate is such an error ("panic: …", its stack logged): it runs on
+// a worker goroutine here, where no recover of the caller's reaches it.
 func Dispatch[T any](ctx context.Context, base uint64, lo, hi, workers int,
 	run func(ctx context.Context, rep int, seed uint64) (T, error),
 	incorporate func(T) (stop bool),
@@ -306,7 +310,7 @@ func Dispatch[T any](ctx context.Context, base uint64, lo, hi, workers int,
 		go func() {
 			defer wg.Done()
 			for rep := range reps {
-				v, err := run(runCtx, rep, ReplicateSeed(base, rep))
+				v, err := guard(run, runCtx, rep, ReplicateSeed(base, rep))
 				// The dispatcher drains results until every worker has
 				// exited, so this send cannot block indefinitely.
 				results <- result{rep: rep, val: v, err: err}
@@ -348,6 +352,18 @@ func Dispatch[T any](ctx context.Context, base uint64, lo, hi, workers int,
 		}
 	}
 	return firstErr
+}
+
+// guard calls run for one replicate, turning a panic into its error.
+func guard[T any](run func(ctx context.Context, rep int, seed uint64) (T, error),
+	ctx context.Context, rep int, seed uint64) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("ensemble: replicate %d panicked: %v\n%s", rep, p, debug.Stack())
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return run(ctx, rep, seed)
 }
 
 // replicates dispatches replicates [lo, hi) of a canonical spec through

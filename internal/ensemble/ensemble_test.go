@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,6 +199,30 @@ func TestDispatchOrderSeedsAndErrors(t *testing.T) {
 		}, func(uint64) bool { return false })
 	if !errors.Is(err, boom) {
 		t.Fatalf("Dispatch error = %v, want the run error", err)
+	}
+}
+
+// TestDispatchPanicIsError: a replicate that panics on a Dispatch
+// worker goroutine is contained there — Dispatch returns it as the run
+// error "panic: …" instead of the panic taking the process down.
+func TestDispatchPanicIsError(t *testing.T) {
+	var incorporated int
+	err := ensemble.Dispatch(context.Background(), 7, 0, 40, 4,
+		func(_ context.Context, rep int, seed uint64) (uint64, error) {
+			if rep == 10 {
+				var counts map[int]int
+				counts[rep]++ // nil-map write: a runtime panic
+			}
+			return seed, nil
+		}, func(uint64) bool {
+			incorporated++
+			return false
+		})
+	if err == nil || !strings.HasPrefix(err.Error(), "panic: ") {
+		t.Fatalf("Dispatch error = %v, want a \"panic: …\" error", err)
+	}
+	if incorporated > 10 {
+		t.Errorf("incorporated %d replicates past the panicking replicate 10", incorporated)
 	}
 }
 

@@ -230,9 +230,9 @@ func checkSweepKeys(t *testing.T, m *Manager, spec ExperimentSpec, axes []byte) 
 			CI:              canon.CI,
 			MinReplicates:   canon.MinReplicates,
 		})
-		if err != nil || e.key() != p.key || runID("e", e.key()) != p.id {
+		if err != nil || e.key() != p.expSpec.key() || runID("e", e.key()) != p.id {
 			t.Errorf("sweep %+v: cell %d files under %q, its standalone experiment under %q (err %v)",
-				sw, p.cell.Index, p.key, e.key(), err)
+				sw, p.cell.Index, p.expSpec.key(), e.key(), err)
 		}
 	}
 }

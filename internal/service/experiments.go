@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -206,24 +205,35 @@ func (m *Manager) SubmitExperiment(spec ExperimentSpec) (exp *Experiment, cached
 	if err != nil {
 		return nil, false, err
 	}
+	e, outcome, err := m.submitExperiment(canon, espec, true)
+	if err != nil {
+		return nil, false, err
+	}
+	return e, outcome.Cached(), nil
+}
+
+// submitExperiment is the one submission path of a canonical
+// experiment, behind POST /v1/experiments and every sweep cell alike.
+// Fresh work is enqueued on the experiment class, or — for a sweep cell
+// (enqueue false) — left to the caller, which runs it inline.
+func (m *Manager) submitExperiment(canon ExperimentSpec, espec ensemble.Spec, enqueue bool) (*Experiment, runcore.Outcome, error) {
 	key := canon.key()
-	e, outcome, err := m.exps.Submit(key, runID("e", key), m.decodeExperiment,
+	return m.exps.Submit(key, runID("e", key), m.decodeExperiment,
 		func() (*Experiment, error) {
 			e := &Experiment{
 				Run:   runcore.NewRun[ensemble.Aggregates](runID("e", key)),
 				spec:  canon,
 				espec: espec,
 			}
-			if err := m.expClass.Enqueue(func() { m.runExperiment(e) }); err != nil {
+			if !enqueue {
+				return e, nil
+			}
+			if err := m.expClass.Enqueue(func() { m.runExperiment(e, e.update) }); err != nil {
 				e.Cancel()
 				return nil, err
 			}
 			return e, nil
 		})
-	if err != nil {
-		return nil, false, err
-	}
-	return e, outcome.Cached(), nil
 }
 
 // GetExperiment returns the experiment with the given id, restoring it
@@ -260,35 +270,24 @@ func (m *Manager) decodeExperiment(rec store.Record) (*Experiment, bool) {
 }
 
 // runExperiment executes one experiment to a terminal state and indexes
-// the outcome.
-func (m *Manager) runExperiment(e *Experiment) {
-	key := e.spec.key()
-	if !e.Begin(nil) {
-		m.exps.Finish(key, e, StateCanceled, "canceled while queued", nil)
-		m.metrics.recordRunState(store.KindExperiment, StateCanceled)
-		return
-	}
-	start := time.Now()
-	agg, dist, err := m.runEnsemble(e.Context(), e.espec, e.update)
-	wallDur := time.Since(start)
-	wall := wallDur.Milliseconds()
-	switch {
-	case err == nil:
-		m.exps.Finish(key, e, StateDone, "", func() {
+// the outcome. onUpdate streams the aggregates as replicates land:
+// e.update, or — for a sweep cell — e.update and the cell's view.
+func (m *Manager) runExperiment(e *Experiment, onUpdate func(ensemble.Aggregates)) {
+	m.exps.Execute(e.spec.key(), e, e.spec, nil, func(ctx context.Context) (func(), any, error) {
+		start := time.Now()
+		agg, dist, err := m.runEnsemble(ctx, e.espec, onUpdate)
+		wallDur := time.Since(start)
+		wall := wallDur.Milliseconds()
+		if err != nil {
+			return func() { e.wallMillis = wall }, nil, err
+		}
+		m.metrics.recordEngineRun(e.spec.Engine, ensembleInteractions(agg), wallDur)
+		return func() {
 			e.agg = &agg
 			e.dist = dist
 			e.wallMillis = wall
-		})
-		m.metrics.recordRunState(store.KindExperiment, StateDone)
-		m.metrics.recordEngineRun(e.spec.Engine, ensembleInteractions(agg), wallDur)
-		m.core.Persist(store.KindExperiment, key, e.ID, e.spec, agg)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		m.exps.Finish(key, e, StateCanceled, "canceled", func() { e.wallMillis = wall })
-		m.metrics.recordRunState(store.KindExperiment, StateCanceled)
-	default:
-		m.exps.Finish(key, e, StateFailed, err.Error(), func() { e.wallMillis = wall })
-		m.metrics.recordRunState(store.KindExperiment, StateFailed)
-	}
+		}, agg, nil
+	})
 }
 
 // ensembleInteractions approximates an ensemble's total simulated

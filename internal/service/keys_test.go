@@ -134,7 +134,7 @@ func goldenKeyLines(t *testing.T) []string {
 		}
 		emit("sweep", s, canon.key(), runID("s", canon.key()), 0)
 		for i, p := range plans {
-			emit(fmt.Sprintf("  cell%d", i), p.expSpec, p.key, p.id, p.cell.Ensemble.Budget)
+			emit(fmt.Sprintf("  cell%d", i), p.expSpec, p.expSpec.key(), p.id, p.cell.Ensemble.Budget)
 		}
 	}
 	return lines

@@ -6,25 +6,20 @@ import (
 
 	"popproto/internal/obs"
 	"popproto/internal/pp"
-	"popproto/internal/store"
 )
 
 // serviceMetrics is the manager's instrument set: HTTP front-door
-// series, run lifecycle counters, per-engine simulation throughput, and
-// the hybrid controller's aggregated mode occupancy. Every series a
-// health endpoint reports is sourced from these same instruments (or
-// runcore's), so /v1/health and /metrics cannot disagree.
+// series, per-engine simulation throughput, and the hybrid controller's
+// aggregated mode occupancy (runcore counts the run lifecycle). Every
+// series a health endpoint reports is sourced from these same
+// instruments (or runcore's), so /v1/health and /metrics cannot
+// disagree.
 type serviceMetrics struct {
 	// HTTP front door (maintained by the middleware in middleware.go).
 	httpRequests   *obs.CounterVec   // {route, method, code}: code is the status class ("2xx")
 	httpDuration   *obs.HistogramVec // {route}
 	httpInFlight   *obs.Gauge
 	sseSubscribers *obs.Gauge
-
-	// Run lifecycle: one increment per terminal transition executed by
-	// this process (cached and restored answers don't run, so they are
-	// visible in runcore's submissions family instead).
-	runsTotal *obs.CounterVec // {kind, state}
 
 	// Engine throughput, recorded when a run finishes: interactions
 	// simulated, runs finished, and a ns/interaction EWMA per engine.
@@ -54,13 +49,6 @@ type serviceMetrics struct {
 // within a handful of runs.
 const ewmaAlpha = 0.2
 
-// runKinds and terminalStates enumerate the runsTotal label space for
-// pre-seeding, so every series renders from startup.
-var (
-	runKinds       = []store.Kind{store.KindJob, store.KindExperiment, store.KindSweep}
-	terminalStates = []State{StateDone, StateFailed, StateCanceled}
-)
-
 // newServiceMetrics creates the manager's instruments, registers them on
 // reg, and pre-seeds every enumerable label combination.
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
@@ -75,9 +63,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"HTTP requests currently being served."),
 		sseSubscribers: obs.NewGauge("popprotod_sse_subscribers",
 			"Live server-sent-event streams (trace and stream endpoints)."),
-		runsTotal: obs.NewCounterVec("popprotod_runs_total",
-			"Runs that reached a terminal state in this process, by kind and state.",
-			"kind", "state"),
 		engineRuns: obs.NewCounterVec("popprotod_engine_runs_total",
 			"Finished simulations by engine (experiment/sweep ensembles count once).",
 			"engine"),
@@ -103,14 +88,9 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		ewma: make(map[string]float64),
 	}
 	reg.MustRegister(m.httpRequests, m.httpDuration, m.httpInFlight,
-		m.sseSubscribers, m.runsTotal, m.engineRuns, m.engineInteractions,
+		m.sseSubscribers, m.engineRuns, m.engineInteractions,
 		m.engineNsPer, m.hybridModeInteractions, m.hybridHandovers,
 		m.skipEntries, m.skipLength, m.liveStates)
-	for _, kind := range runKinds {
-		for _, st := range terminalStates {
-			m.runsTotal.With(string(kind), string(st))
-		}
-	}
 	for _, engine := range pp.EngineNames() {
 		m.engineRuns.With(engine)
 		m.engineInteractions.With(engine)
@@ -121,11 +101,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		m.hybridModeInteractions.With(mode.String())
 	}
 	return m
-}
-
-// recordRunState counts one terminal transition.
-func (m *serviceMetrics) recordRunState(kind store.Kind, state State) {
-	m.runsTotal.With(string(kind), string(state)).Inc()
 }
 
 // recordEngineRun records a finished simulation's throughput: steps

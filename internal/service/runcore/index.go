@@ -1,6 +1,10 @@
 package runcore
 
 import (
+	"context"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 
 	"popproto/internal/obs"
@@ -19,8 +23,9 @@ const (
 )
 
 // Core owns what every run kind's cache shares: the single submission
-// lock, the cross-kind hit/join/miss instruments, the closed flag, and
-// the optional durable store the per-kind LRUs cache in front of.
+// lock, the cross-kind submission and terminal-state instruments, the
+// closed flag, and the optional durable store the per-kind LRUs cache in
+// front of.
 type Core struct {
 	// Store, when non-nil, persists finished results and serves them back
 	// across restarts. It belongs to the caller that opened it.
@@ -29,10 +34,13 @@ type Core struct {
 	mu     sync.Mutex
 	closed bool
 
-	// submissions counts every Submit by (kind, outcome); persistErrs
-	// counts failed persistence attempts. The instruments always exist —
-	// Register attaches them to a registry for exposition.
+	// submissions counts every Submit by (kind, outcome); runs counts
+	// every terminal transition Execute files, by (kind, state) — cached
+	// and restored answers don't run, so they show only in submissions;
+	// persistErrs counts failed persistence attempts. The instruments
+	// always exist — Register attaches them to a registry for exposition.
 	submissions *obs.CounterVec
+	runs        *obs.CounterVec
 	persistErrs *obs.Counter
 }
 
@@ -43,6 +51,9 @@ func NewCore(st *store.Store) *Core {
 		submissions: obs.NewCounterVec("popprotod_runcore_submissions_total",
 			"Run submissions by kind and outcome (hit, joined, miss, restored).",
 			"kind", "outcome"),
+		runs: obs.NewCounterVec("popprotod_runs_total",
+			"Runs that reached a terminal state in this process, by kind and state.",
+			"kind", "state"),
 		persistErrs: obs.NewCounter("popprotod_runcore_persist_errors_total",
 			"Finished results that failed to persist to the durable store."),
 	}
@@ -50,7 +61,7 @@ func NewCore(st *store.Store) *Core {
 
 // Register attaches the core's instruments to reg for exposition.
 func (c *Core) Register(reg *obs.Registry) {
-	reg.MustRegister(c.submissions, c.persistErrs)
+	reg.MustRegister(c.submissions, c.runs, c.persistErrs)
 }
 
 // SetClosed marks the core closed and reports whether it was already.
@@ -116,6 +127,8 @@ func (c *Core) Persist(kind store.Kind, key, id string, spec, data any) {
 // kind satisfies it by embedding *Run[E].
 type Lifecycle interface {
 	State() State
+	Context() context.Context
+	Begin() bool
 	Cancel()
 	Finish(state State, errMsg string, update func())
 }
@@ -124,9 +137,7 @@ type Lifecycle interface {
 // shared Core: an LRU keyed by canonical spec in front of the core's
 // durable store, plus the id index used for lookups, joins and
 // cancellation. All methods take the core's lock; one Core serializes
-// submissions across all its indexes, which is what makes cross-kind
-// cache interactions (a sweep cell populating the experiment cache) a
-// single atomic step.
+// submissions across all its indexes.
 type Index[R Lifecycle] struct {
 	core *Core
 	kind store.Kind
@@ -134,7 +145,8 @@ type Index[R Lifecycle] struct {
 
 	// Cached per-kind children of the core's submissions family —
 	// creating them at construction also pre-seeds the series so every
-	// (kind, outcome) pair renders on /metrics from startup.
+	// (kind, outcome) pair renders on /metrics from startup, as NewIndex
+	// does for the runs family's (kind, state) pairs.
 	hit, joined, miss, restored *obs.Counter
 
 	byID  map[string]R
@@ -155,6 +167,9 @@ func NewIndex[R Lifecycle](core *Core, kind store.Kind, cacheSize int, id func(R
 		restored: core.submissions.With(string(kind), outcomeRestored),
 		byID:     make(map[string]R),
 	}
+	for _, st := range []State{StateDone, StateFailed, StateCanceled} {
+		core.runs.With(string(kind), string(st))
+	}
 	x.cache = newLRU(cacheSize, func(r R) { delete(x.byID, id(r)) })
 	return x
 }
@@ -163,7 +178,8 @@ func NewIndex[R Lifecycle](core *Core, kind store.Kind, cacheSize int, id func(R
 type Outcome int
 
 const (
-	// OutcomeNew: fresh work was created and enqueued.
+	// OutcomeNew: fresh work was created (and handed to Execute by its
+	// creator).
 	OutcomeNew Outcome = iota
 	// OutcomeHit: answered from the finished-work cache.
 	OutcomeHit
@@ -184,9 +200,10 @@ func (o Outcome) Cached() bool { return o == OutcomeHit || o == OutcomeRestored 
 // deterministic outcome), else coalesce onto an identical in-flight
 // run, else restore from the durable store via decode, else create
 // fresh work. decode reconstructs a finished run from a store record
-// (nil, or returning false, skips restoration); create builds and
-// enqueues a fresh run and may fail with ErrBusy. Both callbacks run
-// under the core's lock and must not re-enter the index.
+// (nil, or returning false, skips restoration); create builds a fresh
+// run and enqueues it (failing with ErrBusy when the queue is full), or
+// leaves it to the caller to Execute inline (a sweep cell). Both
+// callbacks run under the core's lock and must not re-enter the index.
 func (x *Index[R]) Submit(key, id string,
 	decode func(store.Record) (R, bool),
 	create func() (R, error),
@@ -266,37 +283,64 @@ func (x *Index[R]) Get(id string, decode func(store.Record) (R, bool)) (R, bool)
 	return zero, false
 }
 
-// Lookup returns the cached finished run for a canonical key without
-// touching the store, reporting whether it exists. Used for cross-kind
-// reuse (a sweep cell consulting the experiment cache).
-func (x *Index[R]) Lookup(key string) (R, bool) {
-	x.core.mu.Lock()
-	defer x.core.mu.Unlock()
-	return x.cache.get(key)
-}
+// Work is a run's body, called by Execute under the run's context. It
+// returns the update that stores its outcome on the run — run under the
+// run's lock in the terminal transition, whatever the state (nil for
+// none) — and, when it succeeds, the data of the run's durable record.
+type Work func(ctx context.Context) (update func(), data any, err error)
 
-// Finish is a run's terminal transition together with its filing: under
-// the core's lock it runs r.Finish(state, errMsg, update) — a no-op for
-// a run already terminal — and files r under its canonical key (evicting
-// the oldest entries, and with them their id index), in that order.
-// Nothing can observe r done before it is filed, so a client that
-// resubmits the instant Done() closes is a cache hit, never a duplicate
-// run. The lock order is Submit's: core lock, then run lock.
-//
-// Runs created by Submit are already in the id index; synthetic runs
-// (sweep cells shared into the experiment cache) are indexed here. If a
-// *live* (non-terminal) run already holds the id — an identical
-// in-flight run raced this one to the same result — neither index is
-// touched: the live run must stay addressable (cancellation included)
-// and will file itself when it finishes.
-func (x *Index[R]) Finish(key string, r R, state State, errMsg string, update func()) {
-	x.core.mu.Lock()
-	defer x.core.mu.Unlock()
-	r.Finish(state, errMsg, update)
-	if cur, ok := x.byID[x.id(r)]; ok && !cur.State().Terminal() {
+// Execute is the one lifecycle every run follows: Begin, work, settle.
+// A run canceled while queued settles canceled without working.
+// Otherwise work's error decides the state (Settled), and a done run's
+// data is persisted under (key, r's id, spec). A panic in work fails the
+// run with the error "panic: …" (its stack logged once) instead of
+// taking the process down. abort, if non-nil, runs under the run's lock
+// in every terminal transition but done, so a kind can mark its replay
+// state (a sweep's unfinished cells) atomically with it: a subscriber
+// whose channel closes never observes the run with stale replay state.
+func (x *Index[R]) Execute(key string, r R, spec any, abort func(), work Work) {
+	if !r.Begin() {
+		x.settle(key, r, StateCanceled, "canceled while queued", abort)
 		return
 	}
-	x.byID[x.id(r)] = r
+	update, data, err := x.work(r, work)
+	state, errMsg := Settled(err)
+	x.settle(key, r, state, errMsg, func() {
+		if update != nil {
+			update()
+		}
+		if state != StateDone && abort != nil {
+			abort()
+		}
+	})
+	if state == StateDone {
+		x.core.Persist(x.kind, key, x.id(r), spec, data)
+	}
+}
+
+// work calls w under r's context, turning a panic into its error.
+func (x *Index[R]) work(r R, w Work) (update func(), data any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("runcore: %s %s panicked: %v\n%s", x.kind, x.id(r), p, debug.Stack())
+			update, data, err = nil, nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return w(r.Context())
+}
+
+// settle is a run's terminal transition together with its filing: under
+// the core's lock it counts the transition, runs r.Finish(state, errMsg,
+// update) and files r under its canonical key (evicting the oldest
+// entries, and with them their id index). Nothing can observe r done
+// before it is filed, so a client that resubmits the instant Done()
+// closes is a cache hit, never a duplicate run. The lock order is
+// Submit's: core lock, then run lock.
+func (x *Index[R]) settle(key string, r R, state State, errMsg string, update func()) {
+	x.core.mu.Lock()
+	defer x.core.mu.Unlock()
+	x.core.runs.With(string(x.kind), string(state)).Inc()
+	r.Finish(state, errMsg, update)
 	x.cache.put(key, r)
 }
 

@@ -137,21 +137,13 @@ func (r *Run[E]) Locked(f func()) {
 	f()
 }
 
-// Begin moves a queued run to running, or reports false — finishing the
-// run as canceled — if it was canceled while waiting in the queue.
-// onCancel, if non-nil, runs under the run's lock immediately before
-// that canceled transition, so kinds can mark their replay state (a
-// sweep's cells) canceled atomically with the terminal transition: a
-// subscriber that sees its channel close can never observe the
-// canceled run with stale replay state.
-func (r *Run[E]) Begin(onCancel func()) bool {
+// Begin moves a queued run to running, or reports false if it was
+// canceled while waiting in the queue (Index.Execute then settles it
+// canceled without running it).
+func (r *Run[E]) Begin() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.ctx.Err() != nil || r.state != StateQueued {
-		if onCancel != nil && !r.state.Terminal() {
-			onCancel()
-		}
-		r.finishLocked(StateCanceled, "canceled while queued")
 		return false
 	}
 	r.state = StateRunning
@@ -223,14 +215,6 @@ func (r *Run[E]) Finish(state State, errMsg string, update func()) {
 	}
 	if update != nil {
 		update()
-	}
-	r.finishLocked(state, errMsg)
-}
-
-// finishLocked is the terminal transition. Callers hold r.mu.
-func (r *Run[E]) finishLocked(state State, errMsg string) {
-	if r.state.Terminal() {
-		return
 	}
 	r.state = state
 	r.errMsg = errMsg

@@ -21,7 +21,10 @@
 // implement lives here.
 package runcore
 
-import "errors"
+import (
+	"context"
+	"errors"
+)
 
 // Submission failures shared by every run kind, distinguished so the
 // HTTP layer can map them to status codes (429/503) separate from spec
@@ -47,4 +50,17 @@ const (
 // Terminal reports whether no further transitions are possible.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
+}
+
+// Settled returns the terminal state a run's work settles in, and the
+// run's error message, by the error the work ended with: done for nil,
+// canceled for a context error, failed for any other.
+func Settled(err error) (State, string) {
+	switch {
+	case err == nil:
+		return StateDone, ""
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return StateCanceled, "canceled"
+	}
+	return StateFailed, err.Error()
 }

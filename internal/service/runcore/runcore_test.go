@@ -1,8 +1,10 @@
 package runcore
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,13 +186,19 @@ func TestRunCloseDiscipline(t *testing.T) {
 }
 
 // TestRunBeginAfterCancel: a queued run canceled before its worker
-// dequeues it finishes as canceled through Begin.
+// dequeues it does not begin, and Execute settles it canceled without
+// running its work.
 func TestRunBeginAfterCancel(t *testing.T) {
 	r := NewRun[int](id(t))
 	r.Cancel()
-	if r.Begin(nil) {
+	if r.Begin() {
 		t.Fatal("Begin succeeded on a canceled run")
 	}
+	x := NewIndex(NewCore(nil), "job", 4, func(r *Run[int]) string { return r.ID })
+	x.Execute("key", r, nil, nil, func(context.Context) (func(), any, error) {
+		t.Error("work ran for a run canceled while queued")
+		return nil, nil, nil
+	})
 	if r.State() != StateCanceled {
 		t.Fatalf("state = %s, want canceled", r.State())
 	}
@@ -202,38 +210,6 @@ func TestRunBeginAfterCancel(t *testing.T) {
 }
 
 func id(t *testing.T) string { return t.Name() }
-
-// TestFinishedNeverClobbersLiveRun: filing a synthetic finished run (a
-// sweep cell sharing its result into the experiment index) must not
-// displace an identical *in-flight* run from the id index — the live
-// run has to stay addressable so its cancellation keeps working.
-func TestFinishedNeverClobbersLiveRun(t *testing.T) {
-	x := NewIndex(NewCore(nil), "job", 4, func(r *Run[int]) string { return r.ID })
-
-	live, _, err := x.Submit("key-1", "id-1", nil, func() (*Run[int], error) {
-		return NewRun[int]("id-1"), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.State() != StateQueued {
-		t.Fatalf("fresh run state = %s", live.State())
-	}
-
-	synthetic := NewRun[int]("id-1")
-	x.Finish("key-1", synthetic, StateDone, "", nil)
-
-	got, ok := x.Get("id-1", nil)
-	if !ok || got != live {
-		t.Fatal("synthetic finished run displaced the live run from the id index")
-	}
-	// Once the live run is terminal, filing is allowed again (last wins).
-	live.Finish(StateDone, "", nil)
-	x.Finish("key-1", synthetic, StateDone, "", nil)
-	if got, _ := x.Get("id-1", nil); got != synthetic {
-		t.Fatal("terminal run was not replaceable")
-	}
-}
 
 // TestResubmitOnDoneIsCacheHit: a run's Done() closes only once the run
 // is filed in the cache, so a client that resubmits the instant it sees
@@ -256,9 +232,96 @@ func TestResubmitOnDoneIsCacheHit(t *testing.T) {
 			outcome <- out
 		}()
 		<-waiting
-		x.Finish(key, r, StateDone, "", nil)
+		x.Execute(key, r, nil, nil, func(context.Context) (func(), any, error) { return nil, nil, nil })
 		if out := <-outcome; out != OutcomeHit {
 			t.Fatalf("iteration %d: resubmission on done got outcome %d, want a cache hit", i, out)
 		}
+	}
+}
+
+// TestExecuteSettles pins the one terminal decision every run kind
+// shares: a nil error settles done (with the work's update applied), a
+// context error canceled, any other error failed, a cancellation while
+// queued canceled without working — and each transition is counted
+// once in runs_total.
+func TestExecuteSettles(t *testing.T) {
+	core := NewCore(nil)
+	x := NewIndex(core, "job", 8, func(r *Run[int]) string { return r.ID })
+	cases := []struct {
+		name     string
+		cancel   bool // before Execute: canceled while queued
+		err      error
+		want     State
+		wantErr  string
+		worked   bool
+		updated  bool
+		canceled bool // abort ran
+	}{
+		{name: "done", want: StateDone, worked: true, updated: true},
+		{name: "canceled", err: fmt.Errorf("drive: %w", context.Canceled), want: StateCanceled, wantErr: "canceled", worked: true, updated: true, canceled: true},
+		{name: "failed", err: errors.New("boom"), want: StateFailed, wantErr: "boom", worked: true, updated: true, canceled: true},
+		{name: "queued", cancel: true, want: StateCanceled, wantErr: "canceled while queued", canceled: true},
+	}
+	for _, tc := range cases {
+		key := "key-" + tc.name
+		r, _, err := x.Submit(key, tc.name, nil, func() (*Run[int], error) { return NewRun[int](tc.name), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.cancel {
+			r.Cancel()
+		}
+		var worked, updated, aborted bool
+		x.Execute(key, r, nil, func() { aborted = true }, func(ctx context.Context) (func(), any, error) {
+			worked = true
+			return func() { updated = true }, nil, tc.err
+		})
+		meta := r.Meta()
+		if meta.State != tc.want || meta.Err != tc.wantErr {
+			t.Errorf("%s: settled %s %q, want %s %q", tc.name, meta.State, meta.Err, tc.want, tc.wantErr)
+		}
+		if worked != tc.worked || updated != tc.updated || aborted != tc.canceled {
+			t.Errorf("%s: worked=%v updated=%v aborted=%v, want %v %v %v",
+				tc.name, worked, updated, aborted, tc.worked, tc.updated, tc.canceled)
+		}
+		if tc.want == StateCanceled {
+			continue // a resubmission evicts a canceled run and runs anew
+		}
+		if got, out, _ := x.Submit(key, tc.name, nil, nil); got != r || out != OutcomeHit {
+			t.Errorf("%s: settled run not filed in the cache", tc.name)
+		}
+	}
+	want := map[string]uint64{"done": 1, "canceled": 2, "failed": 1}
+	core.runs.Each(func(values []string, n uint64) {
+		if values[0] == "job" && n != want[values[1]] {
+			t.Errorf("runs_total{state=%q} = %d, want %d", values[1], n, want[values[1]])
+		}
+	})
+}
+
+// TestExecutePanicFails: a panic in a run's work is contained — the run
+// fails with the error "panic: …", is counted failed, and is filed like
+// any other failure.
+func TestExecutePanicFails(t *testing.T) {
+	core := NewCore(nil)
+	x := NewIndex(core, "job", 4, func(r *Run[int]) string { return r.ID })
+	r, _, err := x.Submit("key", "id", nil, func() (*Run[int], error) { return NewRun[int]("id"), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Execute("key", r, nil, nil, func(context.Context) (func(), any, error) {
+		var m map[string]int
+		m["boom"]++ // nil-map write: a runtime panic
+		return nil, nil, nil
+	})
+	meta := r.Meta()
+	if meta.State != StateFailed || !strings.HasPrefix(meta.Err, "panic: ") {
+		t.Fatalf("panicking run settled %s %q, want failed \"panic: …\"", meta.State, meta.Err)
+	}
+	if n := core.runs.With("job", string(StateFailed)).Value(); n != 1 {
+		t.Errorf("runs_total{state=failed} = %d, want 1", n)
+	}
+	if got, out, _ := x.Submit("key", "id", nil, nil); got != r || out != OutcomeHit {
+		t.Error("failed run not filed in the cache")
 	}
 }

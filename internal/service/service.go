@@ -26,6 +26,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -719,83 +720,72 @@ func (m *Manager) Health() Health {
 
 // runJob executes one job to a terminal state and indexes the outcome.
 func (m *Manager) runJob(j *Job) {
-	if !j.Begin(nil) {
-		m.jobs.Finish(j.spec.key(), j, StateCanceled, "canceled while queued", nil)
-		m.metrics.recordRunState(store.KindJob, StateCanceled)
-		return
-	}
-	start := time.Now()
-	el, err := registry.New(j.rspec)
-	if err != nil {
-		// The spec was validated at submission; a failure here is an
-		// internal inconsistency, reported on the job rather than killing
-		// the worker.
-		m.jobs.Finish(j.spec.key(), j, StateFailed, err.Error(), nil)
-		m.metrics.recordRunState(store.KindJob, StateFailed)
-		return
-	}
-	// Released after the last read of el; the final TopCensus is copied
-	// into the result first.
-	defer el.Release()
-
-	// ensemble.Drive owns the chunk schedule (one parallel-time unit,
-	// doubling on trajectory decimation): the census engines draw
-	// randomness differently at different RunUntilLeaders boundaries, so
-	// jobs and ensemble replicates must advance through the same driver
-	// for replicate 0 of an experiment to be bit-identical to the job.
-	// The observe callback records the initial configuration too, so
-	// every trace has ≥ 2 points. Each snapshot is encoded once, here.
-	var enc frameEncoder
-	observe := func() { j.record(enc.encode(el, censusCap)) }
-	canceled := ensemble.Drive(j.Context(), el, j.target, j.budget, j.maxSnaps, observe)
-	if canceled {
-		m.jobs.Finish(j.spec.key(), j, StateCanceled, "canceled", nil)
-		m.metrics.recordRunState(store.KindJob, StateCanceled)
-		m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
-		return
-	}
-	if last := el.Steps(); j.snapshotCount() == 1 || j.lastSnapshotStep() != last {
-		// Runs that stabilize inside the first chunk still get a final
-		// snapshot distinct from the initial one.
-		observe()
-	}
-
-	res := &Result{
-		Stabilized:   el.Leaders() <= j.target,
-		Leaders:      el.Leaders(),
-		Steps:        el.Steps(),
-		ParallelTime: el.ParallelTime(),
-		LiveStates:   el.LiveStates(),
-		Description:  el.Description(),
-	}
-	// Capture the hybrid controller's telemetry before verification runs
-	// extra interactions, so the occupancy partition matches res.Steps.
-	if hs, ok := el.HybridStats(); ok {
-		res.Hybrid = &HybridTelemetry{
-			RoundSteps:    hs.RoundSteps,
-			InteractSteps: hs.InteractSteps,
-			SkipSteps:     hs.SkipSteps,
-			Handovers:     hs.Handovers,
-			SkipEntries:   hs.SkipEntries,
-			SkipEvents:    hs.SkipEvents,
+	m.jobs.Execute(j.spec.key(), j, j.spec, nil, func(ctx context.Context) (func(), any, error) {
+		start := time.Now()
+		el, err := registry.New(j.rspec)
+		if err != nil {
+			// The spec was validated at submission; a failure here is an
+			// internal inconsistency, reported on the job.
+			return nil, nil, err
 		}
-		m.metrics.recordHybrid(hs)
-	}
-	m.metrics.recordLiveStates(j.spec.Engine, res.LiveStates)
-	if j.spec.Verify > 0 && res.Stabilized {
-		stable := el.VerifyStable(j.spec.Verify)
-		res.Stable = &stable
-	}
-	top, omittedStates, omittedAgents := el.TopCensus(censusCap)
-	res.Census = make(map[string]int, len(top))
-	for _, e := range top {
-		res.Census[e.State] = e.Count
-	}
-	res.OmittedStates, res.OmittedAgents = omittedStates, omittedAgents
-	res.WallMillis = time.Since(start).Milliseconds()
-	res.Distribution = cluster.LocalDistribution()
-	m.jobs.Finish(j.spec.key(), j, StateDone, "", func() { j.result = res })
-	m.metrics.recordRunState(store.KindJob, StateDone)
-	m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
-	m.core.Persist(store.KindJob, j.spec.key(), j.ID, j.spec, res)
+		// Released after the last read of el; the final TopCensus is copied
+		// into the result first.
+		defer el.Release()
+
+		// ensemble.Drive owns the chunk schedule (one parallel-time unit,
+		// doubling on trajectory decimation): the census engines draw
+		// randomness differently at different RunUntilLeaders boundaries, so
+		// jobs and ensemble replicates must advance through the same driver
+		// for replicate 0 of an experiment to be bit-identical to the job.
+		// The observe callback records the initial configuration too, so
+		// every trace has ≥ 2 points. Each snapshot is encoded once, here.
+		var enc frameEncoder
+		observe := func() { j.record(enc.encode(el, censusCap)) }
+		if ensemble.Drive(ctx, el, j.target, j.budget, j.maxSnaps, observe) {
+			m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
+			return nil, nil, ctx.Err()
+		}
+		if last := el.Steps(); j.snapshotCount() == 1 || j.lastSnapshotStep() != last {
+			// Runs that stabilize inside the first chunk still get a final
+			// snapshot distinct from the initial one.
+			observe()
+		}
+
+		res := &Result{
+			Stabilized:   el.Leaders() <= j.target,
+			Leaders:      el.Leaders(),
+			Steps:        el.Steps(),
+			ParallelTime: el.ParallelTime(),
+			LiveStates:   el.LiveStates(),
+			Description:  el.Description(),
+		}
+		// Capture the hybrid controller's telemetry before verification runs
+		// extra interactions, so the occupancy partition matches res.Steps.
+		if hs, ok := el.HybridStats(); ok {
+			res.Hybrid = &HybridTelemetry{
+				RoundSteps:    hs.RoundSteps,
+				InteractSteps: hs.InteractSteps,
+				SkipSteps:     hs.SkipSteps,
+				Handovers:     hs.Handovers,
+				SkipEntries:   hs.SkipEntries,
+				SkipEvents:    hs.SkipEvents,
+			}
+			m.metrics.recordHybrid(hs)
+		}
+		m.metrics.recordLiveStates(j.spec.Engine, res.LiveStates)
+		if j.spec.Verify > 0 && res.Stabilized {
+			stable := el.VerifyStable(j.spec.Verify)
+			res.Stable = &stable
+		}
+		top, omittedStates, omittedAgents := el.TopCensus(censusCap)
+		res.Census = make(map[string]int, len(top))
+		for _, e := range top {
+			res.Census[e.State] = e.Count
+		}
+		res.OmittedStates, res.OmittedAgents = omittedStates, omittedAgents
+		res.WallMillis = time.Since(start).Milliseconds()
+		res.Distribution = cluster.LocalDistribution()
+		m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
+		return func() { j.result = res }, res, nil
+	})
 }

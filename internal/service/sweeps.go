@@ -84,8 +84,8 @@ type SweepCell struct {
 	// sweep's seed was 0).
 	Seed uint64 `json:"seed"`
 	// ExperimentID is the id of the equivalent standalone experiment:
-	// the cell's result is indexed and persisted under it, so it can be
-	// fetched (and was perhaps served from) /v1/experiments/{id}.
+	// the cell runs as that experiment, so it can be fetched (and was
+	// perhaps served from) /v1/experiments/{id}, while it runs too.
 	ExperimentID string `json:"experimentId"`
 	State        State  `json:"state"`
 	// Source reports where a finished cell's aggregates came from:
@@ -128,7 +128,6 @@ type Sweep struct {
 type sweepCellPlan struct {
 	cell    sweep.Cell
 	expSpec ExperimentSpec // canonical
-	key     string
 	id      string
 }
 
@@ -249,8 +248,7 @@ func (m *Manager) CanonicalizeSweep(spec SweepSpec) (SweepSpec, sweep.Spec, []sw
 			return SweepSpec{}, sweep.Spec{}, nil, fmt.Errorf("cell %s n=%d m=%d: %w", cell.Protocol, cell.N, cell.M, err)
 		}
 		expSpec := experimentSpec(cell.Ensemble, spec.MaxParallelTime)
-		key := expSpec.key()
-		plans[i] = sweepCellPlan{cell: cell, expSpec: expSpec, key: key, id: runID("e", key)}
+		plans[i] = sweepCellPlan{cell: cell, expSpec: expSpec, id: runID("e", expSpec.key())}
 	}
 	return spec, run, plans, nil
 }
@@ -307,9 +305,9 @@ func (m *Manager) GetSweep(id string) (*Sweep, bool) {
 }
 
 // CancelSweep requests cancellation of the sweep with the given id,
-// reporting whether it exists. Cancellation cascades: the in-flight
-// cell's ensemble runs under the sweep's context, so it stops at its
-// next chunk boundary and the remaining cells are never started.
+// reporting whether it exists. Cancellation cascades: the sweep's
+// context cancels the experiment of the cell it is running, which stops
+// at its next chunk boundary, and the remaining cells are never started.
 func (m *Manager) CancelSweep(id string) bool {
 	return m.sweeps.Cancel(id)
 }
@@ -333,148 +331,113 @@ func (m *Manager) decodeSweep(rec store.Record) (*Sweep, bool) {
 }
 
 // runSweep executes one sweep to a terminal state. The cell loop is
-// sweep.Run — the same executor behind cmd/sweep — with the manager's
-// cache-aware runner substituted per cell (Options.RunCell): a cell
-// whose identical experiment already finished is served from the
-// experiment cache or the durable store,
-// and a simulated cell is shared back into both, so sweeps, standalone
-// experiments and restarts all see one result per canonical spec.
+// sweep.Run — the same executor behind cmd/sweep — with each cell
+// substituted (Options.RunCell) by the standalone experiment over its
+// spec, submitted through the experiment index: sweeps, standalone
+// experiments and restarts all see one run and one result per canonical
+// spec.
 func (m *Manager) runSweep(s *Sweep) {
-	key := s.spec.key()
-	if !s.Begin(func() {
-		// Runs under the run's lock, atomically with the canceled
-		// transition: a subscriber whose channel closes can never observe
-		// the canceled sweep with cells still marked queued.
-		for i := range s.views {
-			if !s.views[i].State.Terminal() {
-				s.views[i].State = StateCanceled
-			}
-		}
-	}) {
-		m.sweeps.Finish(key, s, StateCanceled, "canceled while queued", nil)
-		m.metrics.recordRunState(store.KindSweep, StateCanceled)
-		return
-	}
-	start := time.Now()
-
-	res, err := sweep.Run(s.Context(), s.run, sweep.Options{
-		RunCell: func(ctx context.Context, cell sweep.Cell) (ensemble.Aggregates, error) {
-			// Expansion is deterministic, so sweep.Run's cells line up
-			// index-for-index with the plans canonicalized at submission.
-			plan := s.cells[cell.Index]
-			view := s.views[cell.Index]
-			view.State = StateRunning
-			s.updateCell(view)
-			agg, source, dist, err := m.runSweepCell(ctx, plan, func(partial ensemble.Aggregates) {
-				v := view
-				v.Aggregates = &partial
-				s.updateCell(v)
-			})
-			switch {
-			case err == nil:
-				view.State = StateDone
-				view.Source = source
-				view.Aggregates = &agg
-				view.Distribution = dist
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				view.State = StateCanceled
-			default:
-				view.State = StateFailed
-			}
-			s.updateCell(view)
-			return agg, err
-		},
-	})
-	wall := time.Since(start).Milliseconds()
-	switch {
-	case err == nil:
-		summary := res.Summary
-		m.sweeps.Finish(key, s, StateDone, "", func() {
-			s.summary = &summary
-			s.wallMillis = wall
+	m.sweeps.Execute(s.spec.key(), s, s.spec, s.cancelUnfinished, func(ctx context.Context) (func(), any, error) {
+		start := time.Now()
+		res, err := sweep.Run(ctx, s.run, sweep.Options{
+			RunCell: func(ctx context.Context, cell sweep.Cell) (ensemble.Aggregates, error) {
+				// Expansion is deterministic, so sweep.Run's cells line up
+				// index-for-index with the plans canonicalized at submission.
+				view := s.views[cell.Index]
+				view.State = StateRunning
+				s.updateCell(view)
+				e, outcome, err := m.cellExperiment(ctx, s.cells[cell.Index], func(partial ensemble.Aggregates) {
+					v := view
+					v.Aggregates = &partial
+					s.updateCell(v)
+				})
+				view.State, _ = runcore.Settled(err)
+				if err != nil {
+					s.updateCell(view)
+					return ensemble.Aggregates{}, err
+				}
+				view.Source = cellSources[outcome]
+				view.Aggregates = e.Aggregates()
+				view.Distribution = e.Distribution()
+				s.updateCell(view)
+				return *view.Aggregates, nil
+			},
 		})
-		m.metrics.recordRunState(store.KindSweep, StateDone)
+		wall := time.Since(start).Milliseconds()
+		if err != nil {
+			return func() { s.wallMillis = wall }, nil, err
+		}
+		summary := res.Summary
 		var data sweepData
 		s.Locked(func() {
-			data = sweepData{Cells: append([]SweepCell(nil), s.views...), Summary: s.summary}
+			data = sweepData{Cells: append([]SweepCell(nil), s.views...), Summary: &summary}
 		})
-		m.core.Persist(store.KindSweep, key, s.ID, s.spec, data)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.cancelCells(0)
-		m.sweeps.Finish(key, s, StateCanceled, "canceled", func() { s.wallMillis = wall })
-		m.metrics.recordRunState(store.KindSweep, StateCanceled)
-	default:
-		s.cancelCells(0)
-		m.sweeps.Finish(key, s, StateFailed, err.Error(), func() { s.wallMillis = wall })
-		m.metrics.recordRunState(store.KindSweep, StateFailed)
-	}
-}
-
-// cancelCells marks every cell from index from on as canceled (cells
-// already terminal keep their state).
-func (s *Sweep) cancelCells(from int) {
-	for i := from; i < len(s.views); i++ {
-		v := s.views[i]
-		if v.State.Terminal() {
-			continue
-		}
-		v.State = StateCanceled
-		s.updateCell(v)
-	}
-}
-
-// runSweepCell produces one cell's aggregates: from the in-memory
-// experiment cache if an identical finished experiment exists, by
-// waiting on an identical experiment already in flight (the result is
-// deterministic, so racing a duplicate simulation would only burn CPU),
-// from the durable store if a record survives there, and by running the
-// ensemble under the sweep's context otherwise — in which case the
-// result is indexed as a finished experiment and persisted, exactly as
-// if it had arrived through POST /v1/experiments.
-func (m *Manager) runSweepCell(ctx context.Context, plan sweepCellPlan, onUpdate func(ensemble.Aggregates)) (ensemble.Aggregates, string, *cluster.Distribution, error) {
-	if e, ok := m.exps.Lookup(plan.key); ok && e.State() == StateDone {
-		if agg := e.Aggregates(); agg != nil {
-			return *agg, "cache", e.Distribution(), nil
-		}
-	}
-	if e, ok := m.exps.Get(plan.id, nil); ok && !e.State().Terminal() {
-		select {
-		case <-e.Done():
-			if e.State() == StateDone {
-				if agg := e.Aggregates(); agg != nil {
-					return *agg, "joined", e.Distribution(), nil
-				}
-			}
-			// The in-flight experiment was canceled or failed — neither is
-			// the spec's deterministic outcome; fall through and simulate.
-		case <-ctx.Done():
-			return ensemble.Aggregates{}, "", nil, ctx.Err()
-		}
-	}
-	if m.core.Store != nil {
-		if rec, ok := m.core.Store.Get(store.KindExperiment, plan.key); ok {
-			if e, ok := m.decodeExperiment(rec); ok {
-				if agg := e.Aggregates(); agg != nil {
-					return *agg, "store", nil, nil
-				}
-			}
-		}
-	}
-	start := time.Now()
-	agg, dist, err := m.runEnsemble(ctx, plan.cell.Ensemble, onUpdate)
-	if err != nil {
-		return ensemble.Aggregates{}, "", nil, err
-	}
-	wall := time.Since(start)
-	m.metrics.recordEngineRun(plan.expSpec.Engine, ensembleInteractions(agg), wall)
-	// File the cell as a finished experiment, so a later POST
-	// /v1/experiments of the same spec is a cache hit.
-	e := &Experiment{Run: runcore.NewRun[ensemble.Aggregates](plan.id), spec: plan.expSpec, espec: plan.cell.Ensemble}
-	m.exps.Finish(plan.key, e, StateDone, "", func() {
-		e.agg = &agg
-		e.dist = dist
-		e.wallMillis = wall.Milliseconds()
+		return func() {
+			s.summary = &summary
+			s.wallMillis = wall
+		}, data, nil
 	})
-	m.core.Persist(store.KindExperiment, plan.key, plan.id, plan.expSpec, agg)
-	return agg, "run", dist, nil
+}
+
+// cancelUnfinished marks every cell not yet terminal canceled. It runs
+// under the sweep's lock, in any terminal transition but done.
+func (s *Sweep) cancelUnfinished() {
+	for i := range s.views {
+		if !s.views[i].State.Terminal() {
+			s.views[i].State = StateCanceled
+		}
+	}
+}
+
+// cellSources names where a finished cell's aggregates came from, by
+// the outcome of its experiment's submission.
+var cellSources = map[runcore.Outcome]string{
+	runcore.OutcomeNew:      "run",
+	runcore.OutcomeHit:      "cache",
+	runcore.OutcomeJoined:   "joined",
+	runcore.OutcomeRestored: "store",
+}
+
+// cellExperiment returns the done experiment a cell adopts, through the
+// one submission path: from the experiment cache, the durable store, an
+// identical experiment in flight (which the cell waits for), or fresh —
+// which the sweep's worker then runs inline, canceled by the sweep's
+// context. A fresh cell is thus an ordinary experiment from its first
+// moment: fetchable by its id, joinable by a standalone submission, and
+// filed and persisted when done. An experiment that ends failed fails
+// the cell; a joined one that ends canceled is submitted once more
+// (Submit evicts canceled runs).
+func (m *Manager) cellExperiment(ctx context.Context, plan sweepCellPlan, observe func(ensemble.Aggregates)) (*Experiment, runcore.Outcome, error) {
+	for attempt := 0; ; attempt++ {
+		e, outcome, err := m.submitExperiment(plan.expSpec, plan.cell.Ensemble, false)
+		if err != nil {
+			// Only a closing manager refuses a cell, and closing cancels
+			// every run: the cell is canceled, not failed.
+			return nil, outcome, fmt.Errorf("%w: %w", err, context.Canceled)
+		}
+		if outcome == runcore.OutcomeNew {
+			stop := context.AfterFunc(ctx, e.Cancel)
+			m.runExperiment(e, func(agg ensemble.Aggregates) {
+				e.update(agg)
+				observe(agg)
+			})
+			stop()
+		} else {
+			select {
+			case <-e.Done():
+			case <-ctx.Done():
+				return nil, outcome, ctx.Err()
+			}
+		}
+		switch meta := e.Meta(); {
+		case meta.State == StateDone:
+			return e, outcome, nil
+		case meta.State == StateFailed:
+			return nil, outcome, errors.New(meta.Err)
+		case ctx.Err() != nil:
+			return nil, outcome, ctx.Err()
+		case outcome != runcore.OutcomeJoined || attempt > 0:
+			return nil, outcome, fmt.Errorf("experiment %s canceled: %w", e.ID, context.Canceled)
+		}
+	}
 }

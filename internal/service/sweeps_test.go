@@ -25,6 +25,26 @@ func waitSweepDone(t *testing.T, s *service.Sweep) {
 	}
 }
 
+// waitCellExperiment polls until the experiment behind the sweep's cell
+// i is indexed, returning it, or nil if the sweep finished first.
+func waitCellExperiment(t *testing.T, m *service.Manager, sw *service.Sweep, i int) *service.Experiment {
+	t.Helper()
+	id := sw.Cells()[i].ExperimentID
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if e, ok := m.GetExperiment(id); ok {
+			return e
+		}
+		select {
+		case <-sw.Done():
+			return nil
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	t.Fatalf("cell %d's experiment %s not indexed after 30s", i, id)
+	return nil
+}
+
 func TestSweepLifecycle(t *testing.T) {
 	m := service.NewManager(service.Options{Workers: 4})
 	defer m.Close()
@@ -169,6 +189,58 @@ func TestSweepCellSharesExperimentCache(t *testing.T) {
 	}
 }
 
+// TestSweepCellInFlightIsExperiment: a cell the sweep is running is an
+// ordinary in-flight experiment — fetchable by its advertised id, and a
+// standalone submission of its spec joins it instead of simulating it a
+// second time under the same id.
+func TestSweepCellInFlightIsExperiment(t *testing.T) {
+	m := service.NewManager(service.Options{Workers: 2})
+	defer m.Close()
+
+	sw, _, err := m.SubmitSweep(service.SweepSpec{
+		Protocols:  []string{"angluin"},
+		Ns:         []int{50_000}, // a few hundred ms: linear-time cells
+		Engine:     "count",
+		Replicates: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := waitCellExperiment(t, m, sw, 0)
+	if exp == nil || exp.State().Terminal() {
+		t.Fatal("the running cell's experiment was not fetchable while in flight")
+	}
+
+	before := m.Stats()
+	again, cached, err := m.SubmitExperiment(service.ExperimentSpec{
+		Protocol: "angluin", N: 50_000, Engine: "count", Replicates: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := m.Stats()
+	if cached || again != exp {
+		t.Errorf("standalone submission got %p (cached %v), want the in-flight cell experiment %p", again, cached, exp)
+	}
+	if after.Joined != before.Joined+1 || after.Misses != before.Misses {
+		t.Errorf("joined %d -> %d, misses %d -> %d; want joined +1, misses unchanged",
+			before.Joined, after.Joined, before.Misses, after.Misses)
+	}
+
+	waitSweepDone(t, sw)
+	waitExpDone(t, again)
+	cell := sw.Cells()[0]
+	if sw.State() != service.StateDone || again.State() != service.StateDone {
+		t.Fatalf("sweep %s, experiment %s; want both done", sw.State(), again.State())
+	}
+	if cell.Source != "run" {
+		t.Errorf("cell source = %q, want run", cell.Source)
+	}
+	if cell.Aggregates == nil || !reflect.DeepEqual(*again.Aggregates(), *cell.Aggregates) {
+		t.Errorf("cell and joined experiment aggregates diverge:\ncell %+v\nexp  %+v", cell.Aggregates, again.Aggregates())
+	}
+}
+
 // TestSweepCellBitIdentical is the acceptance identity: a sweep cell ≡
 // the equivalent standalone experiment (bit-identical aggregates, even
 // across managers) ≡ — via a 1-replicate cell — the single job with the
@@ -243,9 +315,10 @@ func TestSweepCellBitIdentical(t *testing.T) {
 }
 
 // TestSweepCancellationCascade: canceling a sweep cancels its in-flight
-// cell's ensemble (which runs under the sweep's context) and marks the
+// cell's experiment (which runs under the sweep's context) and marks the
 // never-started cells canceled — the cross-kind cancellation acceptance
-// path.
+// path. The canceled cell experiment is not served to a later standalone
+// submission, which simulates again.
 func TestSweepCancellationCascade(t *testing.T) {
 	m := service.NewManager(service.Options{Workers: 2})
 	defer m.Close()
@@ -261,9 +334,9 @@ func TestSweepCancellationCascade(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let it get into the first cell, then cancel.
-	deadline := time.Now().Add(30 * time.Second)
-	for sw.State() == service.StateQueued && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	cellExp := waitCellExperiment(t, m, sw, 0)
+	if cellExp == nil {
+		t.Fatal("sweep finished before its first cell was in flight")
 	}
 	if !m.CancelSweep(sw.ID) {
 		t.Fatal("CancelSweep did not find the sweep")
@@ -280,6 +353,20 @@ func TestSweepCancellationCascade(t *testing.T) {
 			t.Errorf("done cell n=%d has no aggregates", c.N)
 		}
 	}
+	if got := cellExp.State(); got != service.StateCanceled {
+		t.Errorf("in-flight cell experiment state = %s, want canceled", got)
+	}
+	exp, cached, err := m.SubmitExperiment(service.ExperimentSpec{
+		Protocol: "angluin", N: 100_000, Engine: "count", Replicates: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached || exp == cellExp {
+		t.Error("canceled cell experiment served to a standalone submission")
+	}
+	m.CancelExperiment(exp.ID)
+	waitExpDone(t, exp)
 
 	// Cancellation is not the spec's deterministic outcome: resubmission
 	// re-runs rather than serving the canceled sweep.

@@ -47,9 +47,10 @@ type Spec struct {
 	Ms []int
 	// Engine selects the per-cell engine. pp.EngineAuto (the sweep
 	// default at the service layer) resolves per cell via the registry's
-	// recommendation — small populations on the per-agent engine, large
-	// census-friendly ones on the batch engine — which is what makes a
-	// 10³..10⁸ grid practical in one request.
+	// recommendation (registry.Entry.RecommendedEngine) — small
+	// populations on the per-agent engine, large census-friendly ones on
+	// the hybrid engine — which is what makes a 10³..10⁸ grid practical
+	// in one request.
 	Engine pp.Engine
 	// Seed is the per-cell ensemble base seed; 0 derives one per cell
 	// from the cell's canonical identity, exactly as a seedless
