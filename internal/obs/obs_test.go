@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -302,5 +304,54 @@ func TestHandler(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "scraped_total 3\n") {
 		t.Fatalf("body missing series:\n%s", body)
+	}
+}
+
+// sample returns the value of the unlabeled series name in text.
+func sample(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no series %s in:\n%s", name, text)
+	return 0
+}
+
+// TestRuntimeMemory: the runtime series are read at every scrape, with
+// their types, and move as the process allocates and collects.
+func TestRuntimeMemory(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegister(RuntimeMemory()...)
+	before := render(r)
+	for _, typ := range []string{
+		"# TYPE go_gc_heap_live_bytes gauge",
+		"# TYPE go_gc_heap_allocs_bytes_total counter",
+		"# TYPE go_gc_cycles_total counter",
+	} {
+		if !strings.Contains(before, typ) {
+			t.Errorf("scrape lacks %q:\n%s", typ, before)
+		}
+	}
+	kept := make([][]byte, 64)
+	for i := range kept {
+		kept[i] = make([]byte, 64<<10)
+	}
+	runtime.GC()
+	after := render(r)
+	runtime.KeepAlive(kept)
+	if got := sample(t, after, "go_gc_heap_live_bytes"); got < 4<<20 {
+		t.Errorf("live heap %g bytes with 4 MiB kept", got)
+	}
+	if a, b := sample(t, before, "go_gc_heap_allocs_bytes_total"), sample(t, after, "go_gc_heap_allocs_bytes_total"); b-a < 4<<20 {
+		t.Errorf("allocated bytes went %g -> %g over a 4 MiB allocation", a, b)
+	}
+	if a, b := sample(t, before, "go_gc_cycles_total"), sample(t, after, "go_gc_cycles_total"); b <= a {
+		t.Errorf("GC cycles went %g -> %g over a forced collection", a, b)
 	}
 }

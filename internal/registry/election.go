@@ -76,16 +76,18 @@ type Election interface {
 }
 
 // election adapts a concrete pp.Runner[S] to the erased Election surface.
+// Its description is rendered by the entry's describe on the first
+// Description call, so a run that never asks for it formats nothing.
 type election[S comparable] struct {
-	key    string
-	desc   string
-	target int
-	engine pp.Engine
-	proto  pp.Protocol[S]
-	run    pp.Runner[S] // nil once released
-	names  *censusNames[S]
-	pool   poolKey
-	warm   *warm[S] // what Release hands back; nil off the agent engine
+	spec     Spec
+	describe func(Spec) string
+	desc     string
+	target   int
+	proto    pp.Protocol[S]
+	run      pp.Runner[S] // nil once released
+	names    *censusNames[S]
+	pool     poolKey
+	warm     *warm[S] // what Release hands back; nil off the agent engine
 }
 
 // censusNames are an election's census renderings: a slot per distinct
@@ -114,14 +116,13 @@ type censusSlot struct {
 // instantiation per catalog entry from which every erased call dispatches.
 // On the agent engine it borrows a warm table from the spec's pool, or
 // makes a fresh one.
-func wrap[S comparable](spec Spec, proto pp.Protocol[S], desc string) Election {
+func wrap[S comparable](spec Spec, proto pp.Protocol[S]) Election {
 	entry, _ := Lookup(spec.Protocol)
 	e := &election[S]{
-		key:    spec.Protocol,
-		desc:   desc,
-		target: entry.Target,
-		engine: spec.Engine,
-		proto:  proto,
+		spec:     spec,
+		describe: entry.describe,
+		target:   entry.Target,
+		proto:    proto,
 	}
 	if spec.Engine != pp.EngineAgent {
 		e.run = pp.NewRunner(spec.Engine, proto, spec.N, spec.Seed)
@@ -140,7 +141,7 @@ func wrap[S comparable](spec Spec, proto pp.Protocol[S], desc string) Election {
 // runner returns the election's runner, or panics once it is released.
 func (e *election[S]) runner() pp.Runner[S] {
 	if e.run == nil {
-		panic(fmt.Sprintf("registry: %s election used after Release", e.key))
+		panic(fmt.Sprintf("registry: %s election used after Release", e.spec.Protocol))
 	}
 	return e.run
 }
@@ -156,8 +157,7 @@ func (e *election[S]) Release() {
 	}
 }
 
-func (e *election[S]) Key() string           { e.runner(); return e.key }
-func (e *election[S]) Description() string   { e.runner(); return e.desc }
+func (e *election[S]) Key() string           { e.runner(); return e.spec.Protocol }
 func (e *election[S]) Target() int           { e.runner(); return e.target }
 func (e *election[S]) N() int                { return e.runner().N() }
 func (e *election[S]) Steps() uint64         { return e.runner().Steps() }
@@ -170,6 +170,14 @@ func (e *election[S]) RunUntilLeaders(target int, maxSteps uint64) (uint64, bool
 }
 
 func (e *election[S]) VerifyStable(extra uint64) bool { return e.runner().VerifyStable(extra) }
+
+func (e *election[S]) Description() string {
+	e.runner()
+	if e.desc == "" {
+		e.desc = e.describe(e.spec)
+	}
+	return e.desc
+}
 
 // Census walks the runner's live states, O(live states) on an engine with
 // a state table, and renders each state once per table.
@@ -282,7 +290,7 @@ func (e *election[S]) HybridStats() (pp.HybridStats, bool) {
 	// Every census engine carries the controller, but only the hybrid
 	// engine's results report its telemetry.
 	run := e.runner()
-	if e.engine != pp.EngineHybrid {
+	if e.spec.Engine != pp.EngineHybrid {
 		return pp.HybridStats{}, false
 	}
 	return run.(*pp.CensusSimulator[S]).Stats(), true
@@ -290,7 +298,7 @@ func (e *election[S]) HybridStats() (pp.HybridStats, bool) {
 
 func (e *election[S]) LeaderID() int {
 	run := e.runner()
-	if e.engine != pp.EngineAgent {
+	if e.spec.Engine != pp.EngineAgent {
 		return -1
 	}
 	id := -1

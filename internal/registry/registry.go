@@ -91,8 +91,11 @@ type Entry struct {
 
 	// check validates the protocol-specific Spec knobs; nil means the
 	// entry takes none beyond the shared fields (then noM applies).
-	check      func(Spec) error
-	build      func(Spec) (Election, error)
+	check func(Spec) error
+	build func(Spec) (Election, error)
+	// describe renders an election's Description from its spec, on the
+	// first call, so building a run formats nothing.
+	describe   func(Spec) string
 	stateCount func(n, m int) int
 	budget     func(n int) uint64
 }
@@ -218,9 +221,12 @@ func init() {
 				if err != nil {
 					return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 				}
-				desc := fmt.Sprintf("PLL with n=%d m=%d (lmax=%d cmax=%d Φ=%d), %d states/agent",
+				return wrap[core.State](spec, core.New(params)), nil
+			},
+			describe: func(spec Spec) string {
+				params, _ := core.ParamsFor(spec.N, spec.M)
+				return fmt.Sprintf("PLL with n=%d m=%d (lmax=%d cmax=%d Φ=%d), %d states/agent",
 					spec.N, params.M, params.LMax, params.CMax, params.Phi, params.StateSpaceSize())
-				return wrap[core.State](spec, core.New(params), desc), nil
 			},
 			stateCount: func(n, m int) int {
 				params, err := core.ParamsFor(n, m)
@@ -249,8 +255,11 @@ func init() {
 				if err != nil {
 					return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 				}
-				desc := fmt.Sprintf("symmetric PLL with n=%d m=%d", spec.N, params.M)
-				return wrap[core.SymState](spec, core.NewSymmetric(params), desc), nil
+				return wrap[core.SymState](spec, core.NewSymmetric(params)), nil
+			},
+			describe: func(spec Spec) string {
+				params, _ := core.ParamsFor(spec.N, spec.M)
+				return fmt.Sprintf("symmetric PLL with n=%d m=%d", spec.N, params.M)
 			},
 			// Coin and duel sub-states multiply the Table 3 count by the
 			// constant 4 (coins) + 4 (duels).
@@ -275,8 +284,10 @@ func init() {
 				if err := noM(spec); err != nil {
 					return nil, err
 				}
-				desc := fmt.Sprintf("Angluin 2006 with n=%d, 2 states/agent", spec.N)
-				return wrap[baseline.AngluinState](spec, baseline.Angluin{}, desc), nil
+				return wrap[baseline.AngluinState](spec, baseline.Angluin{}), nil
+			},
+			describe: func(spec Spec) string {
+				return fmt.Sprintf("Angluin 2006 with n=%d, 2 states/agent", spec.N)
 			},
 			stateCount: func(int, int) int { return baseline.Angluin{}.StateCount() },
 			budget:     LinearBudget,
@@ -293,10 +304,12 @@ func init() {
 				if err := noM(spec); err != nil {
 					return nil, err
 				}
+				return wrap[baseline.LotteryState](spec, baseline.NewLottery(spec.N)), nil
+			},
+			describe: func(spec Spec) string {
 				p := baseline.NewLottery(spec.N)
-				desc := fmt.Sprintf("Lottery with n=%d (level cap %d), %d states/agent",
+				return fmt.Sprintf("Lottery with n=%d (level cap %d), %d states/agent",
 					spec.N, p.LevelMax(), p.StateCount())
-				return wrap[baseline.LotteryState](spec, p, desc), nil
 			},
 			stateCount: func(n, _ int) int { return baseline.NewLottery(n).StateCount() },
 			budget:     LinearBudget,
@@ -313,9 +326,10 @@ func init() {
 				if err := noM(spec); err != nil {
 					return nil, err
 				}
-				p := baseline.NewMaxID(spec.N)
-				desc := fmt.Sprintf("MaxID with n=%d (%d-bit identifiers)", spec.N, p.Width())
-				return wrap[baseline.MaxIDState](spec, p, desc), nil
+				return wrap[baseline.MaxIDState](spec, baseline.NewMaxID(spec.N)), nil
+			},
+			describe: func(spec Spec) string {
+				return fmt.Sprintf("MaxID with n=%d (%d-bit identifiers)", spec.N, baseline.NewMaxID(spec.N).Width())
 			},
 			stateCount: func(n, _ int) int { return baseline.NewMaxID(n).StateCount() },
 			budget:     LogBudget,
@@ -332,8 +346,10 @@ func init() {
 				if err := noM(spec); err != nil {
 					return nil, err
 				}
-				desc := fmt.Sprintf("SI epidemic with n=%d, 3 states/agent", spec.N)
-				return wrap[epidemic.SIState](spec, epidemic.SI{}, desc), nil
+				return wrap[epidemic.SIState](spec, epidemic.SI{}), nil
+			},
+			describe: func(spec Spec) string {
+				return fmt.Sprintf("SI epidemic with n=%d, 3 states/agent", spec.N)
 			},
 			stateCount: func(int, int) int { return 3 },
 			budget:     LogBudget,

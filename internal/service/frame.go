@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"slices"
@@ -11,20 +11,82 @@ import (
 	"popproto/internal/registry"
 )
 
-// Frame is one recorded point of a job's census trajectory in wire
-// form: JSON holds exactly the bytes json.Marshal of its Snapshot
-// produces, and the trace endpoint streams them verbatim.
+// Frame is one recorded point of a job's census trajectory, kept as a
+// compact record and rendered to its wire form only when streamed:
+// AppendJSON writes exactly the bytes json.Marshal of its Snapshot
+// produces. The record packs the population size, the leader count, the
+// two omitted counts and the census as (name index, count) pairs in the
+// byte order of the names, all as uvarints, in one allocation. The
+// indexes point into names, the prefix of the run's quoted census names
+// that existed when the frame was recorded.
 type Frame struct {
-	Step uint64
-	JSON []byte
+	Step   uint64
+	names  []string
+	record []byte
 }
 
-// frameEncoder renders snapshots as encoding/json renders a Snapshot —
-// census keys in byte order, its string escaping, its float format —
-// without building a map or reflecting over one. One encoder serves one
-// run on its worker goroutine; its buffers are reused across frames.
+// AppendJSON appends the frame's snapshot to dst as encoding/json
+// renders a Snapshot: census keys in byte order, its string escaping and
+// float format, and the omitted counts only when nonzero. The parallel
+// time is step/n, the division every engine's ParallelTime performs.
+func (f Frame) AppendJSON(dst []byte) []byte {
+	rec := f.record
+	var n, leaders, omittedStates, omittedAgents uint64
+	n, rec = uvarint(rec)
+	leaders, rec = uvarint(rec)
+	omittedStates, rec = uvarint(rec)
+	omittedAgents, rec = uvarint(rec)
+
+	b := append(dst, `{"step":`...)
+	b = strconv.AppendUint(b, f.Step, 10)
+	b = append(b, `,"parallelTime":`...)
+	b = appendJSONFloat(b, float64(f.Step)/float64(n))
+	b = append(b, `,"leaders":`...)
+	b = strconv.AppendUint(b, leaders, 10)
+	b = append(b, `,"census":{`...)
+	for first := true; len(rec) > 0; first = false {
+		var name, count uint64
+		name, rec = uvarint(rec)
+		count, rec = uvarint(rec)
+		if !first {
+			b = append(b, ',')
+		}
+		b = append(b, f.names[name]...)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, count, 10)
+	}
+	b = append(b, '}')
+	if omittedStates != 0 {
+		b = append(b, `,"omittedStates":`...)
+		b = strconv.AppendUint(b, omittedStates, 10)
+	}
+	if omittedAgents != 0 {
+		b = append(b, `,"omittedAgents":`...)
+		b = strconv.AppendUint(b, omittedAgents, 10)
+	}
+	return append(b, '}')
+}
+
+// uvarint decodes the uvarint at the front of rec and returns the rest.
+func uvarint(rec []byte) (uint64, []byte) {
+	v, k := binary.Uvarint(rec)
+	if k <= 0 {
+		panic("service: corrupt frame record")
+	}
+	return v, rec[k:]
+}
+
+// frameEncoder records snapshots as Frames without building a map or
+// reflecting over one. It quotes each census name once per run, as
+// encoding/json quotes a string, into quoted, which it only appends to:
+// a frame keeps the prefix its indexes need, so the frames a subscriber
+// renders on another goroutine never see a later write. index maps a
+// name to its position in quoted and goes with the encoder when the run
+// ends; quoted stays with the job's frames. One encoder serves one run
+// on its worker goroutine; its buffers are reused across frames.
 type frameEncoder struct {
-	quoted map[string]string // census key → its JSON string encoding
+	index  map[string]uint64
+	quoted []string
 	byName []registry.CensusEntry
 	buf    []byte
 }
@@ -36,52 +98,40 @@ func (f *frameEncoder) encode(el registry.Election, k int) Frame {
 	f.byName = append(f.byName[:0], top...)
 	slices.SortFunc(f.byName, func(a, b registry.CensusEntry) int { return strings.Compare(a.State, b.State) })
 
-	step := el.Steps()
-	b := append(f.buf[:0], `{"step":`...)
-	b = strconv.AppendUint(b, step, 10)
-	b = append(b, `,"parallelTime":`...)
-	b = appendJSONFloat(b, el.ParallelTime())
-	b = append(b, `,"leaders":`...)
-	b = strconv.AppendInt(b, int64(el.Leaders()), 10)
-	b = append(b, `,"census":{`...)
-	for i, e := range f.byName {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, f.quote(e.State)...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(e.Count), 10)
+	b := binary.AppendUvarint(f.buf[:0], uint64(el.N()))
+	b = binary.AppendUvarint(b, uint64(el.Leaders()))
+	b = binary.AppendUvarint(b, uint64(omittedStates))
+	b = binary.AppendUvarint(b, uint64(omittedAgents))
+	for _, e := range f.byName {
+		b = binary.AppendUvarint(b, f.nameIndex(e.State))
+		b = binary.AppendUvarint(b, uint64(e.Count))
 	}
-	b = append(b, '}')
-	if omittedStates != 0 {
-		b = append(b, `,"omittedStates":`...)
-		b = strconv.AppendInt(b, int64(omittedStates), 10)
-	}
-	if omittedAgents != 0 {
-		b = append(b, `,"omittedAgents":`...)
-		b = strconv.AppendInt(b, int64(omittedAgents), 10)
-	}
-	b = append(b, '}')
 	f.buf = b
-	return Frame{Step: step, JSON: bytes.Clone(b)}
+	return Frame{Step: el.Steps(), names: f.quoted, record: slices.Clone(b)}
 }
 
-// quote returns name as encoding/json encodes a string, computed once
-// per name.
-func (f *frameEncoder) quote(name string) string {
-	q, ok := f.quoted[name]
+// nameIndex returns name's position in quoted, quoting it the first time
+// the run meets it.
+func (f *frameEncoder) nameIndex(name string) uint64 {
+	i, ok := f.index[name]
 	if !ok {
-		data, err := json.Marshal(name)
-		if err != nil {
-			panic(err) // a string always marshals
+		if f.index == nil {
+			f.index = make(map[string]uint64)
 		}
-		if f.quoted == nil {
-			f.quoted = make(map[string]string)
-		}
-		q = string(data)
-		f.quoted[name] = q
+		i = uint64(len(f.quoted))
+		f.quoted = append(f.quoted, quote(name))
+		f.index[name] = i
 	}
-	return q
+	return i
+}
+
+// quote returns name as encoding/json encodes a string.
+func quote(name string) string {
+	data, err := json.Marshal(name)
+	if err != nil {
+		panic(err) // a string always marshals
+	}
+	return string(data)
 }
 
 // appendJSONFloat appends f as encoding/json encodes a float64: the

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -40,31 +41,84 @@ func marshalSnapshot(t *testing.T, el registry.Election) []byte {
 }
 
 // TestFrameMatchesMarshal: on every catalog entry and engine, at
-// checkpoints through a run, a frame is byte for byte what json.Marshal
-// of the same snapshot produces.
+// checkpoints through a run, a frame renders byte for byte what
+// json.Marshal of the same snapshot produces. It renders the same bytes
+// again after the run's pooled state table has served later runs that
+// rendered names the first run never met.
 func TestFrameMatchesMarshal(t *testing.T) {
 	const n = 700
+	laterNames := 0
 	for _, entry := range registry.Entries() {
 		for _, engine := range pp.Engines() {
-			el, err := registry.New(registry.Spec{Protocol: entry.Key, N: n, Engine: engine, Seed: 3})
+			spec := registry.Spec{Protocol: entry.Key, N: n, Engine: engine, Seed: 3}
+			el, err := registry.New(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var enc frameEncoder
+			var frames []Frame
+			var wants [][]byte
 			for checkpoint := 0; checkpoint < 6; checkpoint++ {
 				if checkpoint > 0 {
 					el.RunSteps(uint64(n)<<(checkpoint-1) + 13) // non-integer parallel times too
 				}
 				frame := enc.encode(el, censusCap)
-				if want := marshalSnapshot(t, el); string(frame.JSON) != string(want) {
+				want := marshalSnapshot(t, el)
+				if got := frame.AppendJSON(nil); string(got) != string(want) {
 					t.Fatalf("%s/%s at step %d:\n got  %s\n want %s",
-						entry.Key, engine, el.Steps(), frame.JSON, want)
+						entry.Key, engine, el.Steps(), got, want)
 				}
 				if frame.Step != el.Steps() {
 					t.Fatalf("frame step %d, election at %d", frame.Step, el.Steps())
 				}
+				frames, wants = append(frames, frame), append(wants, want)
+			}
+			el.Release()
+
+			for seed := uint64(4); seed < 8; seed++ {
+				spec.Seed = seed
+				later, err := registry.New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for checkpoint := 0; checkpoint < 6; checkpoint++ {
+					later.RunSteps(uint64(n) << checkpoint)
+					top, _, _ := later.TopCensus(censusCap)
+					for _, e := range top {
+						if _, ok := enc.index[e.State]; !ok {
+							laterNames++
+						}
+					}
+				}
+				later.Release()
+			}
+			for i, frame := range frames {
+				if got := frame.AppendJSON(nil); string(got) != string(wants[i]) {
+					t.Fatalf("%s/%s frame %d after later runs:\n got  %s\n want %s",
+						entry.Key, engine, i, got, wants[i])
+				}
 			}
 		}
+	}
+	if laterNames == 0 {
+		t.Fatal("the later runs rendered no name the first runs had not met")
+	}
+}
+
+// TestAppendJSONAllocs: rendering a frame into a buffer that has room
+// for it allocates nothing, so a stream renders its events in place.
+func TestAppendJSONAllocs(t *testing.T) {
+	el, err := registry.New(registry.Spec{Protocol: "maxid", N: 2000, Engine: pp.EngineCount, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	el.RunSteps(3 * 2000)
+	var enc frameEncoder
+	frame := enc.encode(el, censusCap)
+	buf := frame.AppendJSON(nil)
+	allocs := testing.AllocsPerRun(50, func() { buf = frame.AppendJSON(buf[:0]) })
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per render into a warm buffer, want 0", allocs)
 	}
 }
 
@@ -88,13 +142,12 @@ func TestAppendJSONFloat(t *testing.T) {
 // TestFrameQuotesLikeMarshal: census keys take encoding/json's string
 // escaping, HTML characters, invalid UTF-8 and line separators included.
 func TestFrameQuotesLikeMarshal(t *testing.T) {
-	var enc frameEncoder
 	for _, s := range []string{"X/L e1 c0", `a"b\c`, "<&>", "tab\there", "bad\xffutf8", "sep\u2028\u2029", "Φ=3"} {
 		want, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := enc.quote(s); got != string(want) {
+		if got := quote(s); got != string(want) {
 			t.Errorf("quote(%q) = %s, want %s", s, got, want)
 		}
 	}
@@ -147,8 +200,9 @@ func (w *countingWriter) Flush() {
 func TestTraceWritesCoalesce(t *testing.T) {
 	m := NewManager(Options{Workers: 1})
 	defer m.Close()
+	// A record of n = 1, no leaders, no omitted states and an empty census.
 	frame := func(step int) Frame {
-		return Frame{Step: uint64(step), JSON: []byte(fmt.Sprintf(`{"step":%d}`, step))}
+		return Frame{Step: uint64(step), record: []byte{1, 0, 0, 0}}
 	}
 	live := make(chan Frame, 3)
 	for step := 2; step < 5; step++ {
@@ -157,11 +211,11 @@ func TestTraceWritesCoalesce(t *testing.T) {
 	close(live)
 	w := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
 	streamSSE(m, w, httptest.NewRequest("GET", "/", nil), "census",
-		[]Frame{frame(0), frame(1)}, live, func() {}, frameJSON, func() any { return "view" })
+		[]Frame{frame(0), frame(1)}, live, func() {}, appendFrame, func() any { return "view" })
 
 	var want strings.Builder
 	for step := 0; step < 5; step++ {
-		fmt.Fprintf(&want, "event: census\ndata: {\"step\":%d}\n\n", step)
+		fmt.Fprintf(&want, "event: census\ndata: %s\n\n", frame(step).AppendJSON(nil))
 	}
 	want.WriteString("event: done\ndata: \"view\"\n\n")
 	if got := w.Body.String(); got != want.String() {
@@ -170,5 +224,107 @@ func TestTraceWritesCoalesce(t *testing.T) {
 	if w.writes != 2 || w.flushes != 2 {
 		t.Errorf("%d writes and %d flushes, want 2 and 2 (replay, then the queued events and done)",
 			w.writes, w.flushes)
+	}
+}
+
+// TestStreamWhileRecording: subscribers render a running job's frames on
+// their own goroutines, directly and through the trace endpoint, while
+// its worker records frames that quote names the run had not met. Run
+// it under -race: a frame must never read the name slice past the
+// prefix it was recorded with.
+func TestStreamWhileRecording(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	// The first job holds the one worker, so the second is still queued
+	// when it is subscribed to and all of its frames arrive live.
+	if _, _, err := m.Submit(JobSpec{Protocol: "pll", N: 2000, Engine: "count", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	job, _, err := m.Submit(JobSpec{Protocol: "maxid", N: n, Engine: "count", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(data []byte) error {
+		var snap Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return err
+		}
+		total := snap.OmittedAgents
+		for _, c := range snap.Census {
+			total += c
+		}
+		if total != n {
+			return fmt.Errorf("census covers %d agents, want %d: %s", total, n, data)
+		}
+		return nil
+	}
+	const subscribers = 3
+	errs := make(chan error, subscribers+1)
+	grew := make(chan int, subscribers)
+	for range subscribers {
+		replay, live, cancel := job.Subscribe()
+		go func() {
+			defer cancel()
+			var buf []byte
+			names, newNames := -1, 0
+			render := func(f Frame) error {
+				buf = f.AppendJSON(buf[:0])
+				if names >= 0 && len(f.names) > names {
+					newNames += len(f.names) - names
+				}
+				names = len(f.names)
+				return check(buf)
+			}
+			for _, f := range replay {
+				if err := render(f); err != nil {
+					errs <- err
+					return
+				}
+			}
+			for f := range live {
+				if err := render(f); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+			grew <- newNames
+		}()
+	}
+	go func() {
+		resp, err := srv.Client().Get(srv.URL + "/v1/jobs/" + job.ID + "/trace")
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			errs <- err
+			return
+		}
+		for _, event := range strings.Split(string(body), "\n\n") {
+			if data, ok := strings.CutPrefix(event, "event: census\ndata: "); ok {
+				if err := check([]byte(data)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+		errs <- nil
+	}()
+	for range subscribers + 1 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range subscribers {
+		if newNames := <-grew; newNames == 0 {
+			t.Error("no frame a subscriber rendered quoted a name the run had not met before it")
+		}
 	}
 }

@@ -71,7 +71,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "job", m.Get, func(j *Job) {
 			replay, live, cancel := j.Subscribe()
-			streamSSE(m, w, r, "census", replay, live, cancel, frameJSON, func() any { return j.View() })
+			streamSSE(m, w, r, "census", replay, live, cancel, appendFrame, func() any { return j.View() })
 		})
 	})
 
@@ -99,7 +99,7 @@ func NewHandler(m *Manager) http.Handler {
 			if latest != nil {
 				replay = append(replay, *latest)
 			}
-			streamSSE(m, w, r, "aggregate", replay, live, cancel, marshalJSON, func() any { return e.View() })
+			streamSSE(m, w, r, "aggregate", replay, live, cancel, appendMarshal, func() any { return e.View() })
 		})
 	})
 
@@ -123,7 +123,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) {
 			replay, live, cancel := s.Subscribe()
-			streamSSE(m, w, r, "cell", replay, live, cancel, marshalJSON, func() any { return s.View() })
+			streamSSE(m, w, r, "cell", replay, live, cancel, appendMarshal, func() any { return s.View() })
 		})
 	})
 
@@ -281,11 +281,15 @@ func withRun[R any](w http.ResponseWriter, r *http.Request, what string,
 	fn(run)
 }
 
-// frameJSON is a job frame's event data: its bytes as recorded.
-func frameJSON(f Frame) ([]byte, error) { return f.JSON, nil }
+// appendFrame renders a job frame into an event's data.
+func appendFrame(dst []byte, f Frame) ([]byte, error) { return f.AppendJSON(dst), nil }
 
-// marshalJSON is the event data of the kinds that keep structured events.
-func marshalJSON[E any](e E) ([]byte, error) { return json.Marshal(e) }
+// appendMarshal is the event data of the kinds that keep structured
+// events: their json.Marshal output.
+func appendMarshal[E any](dst []byte, e E) ([]byte, error) {
+	data, err := json.Marshal(e)
+	return append(dst, data...), err
+}
 
 // streamSSE is the one server-sent-events loop every run kind shares:
 // replay the stored events, forward live ones as they are published,
@@ -294,11 +298,14 @@ func marshalJSON[E any](e E) ([]byte, error) { return json.Marshal(e) }
 // and only then). The subscription's cancel only stops delivery, so
 // returning on a dropped client can never race the publisher.
 //
-// The replay goes out in one write and one flush, and live events that
-// are already queued when one arrives share its flush: a flush is a
-// syscall, and a slow client would otherwise pay one per event.
+// encode appends an event's data to the stream's write buffer, which is
+// reused for the whole stream, so a job frame, replayed or live, is
+// rendered in place without an allocation of its own. The replay goes
+// out in one write and one flush, and live events that are already
+// queued when one arrives share its flush: a flush is a syscall, and a
+// slow client would otherwise pay one per event.
 func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event string,
-	replay []E, live <-chan E, cancel func(), encode func(E) ([]byte, error), doneView func() any,
+	replay []E, live <-chan E, cancel func(), encode func(dst []byte, e E) ([]byte, error), doneView func() any,
 ) {
 	defer cancel()
 	m.metrics.sseSubscribers.Inc()
@@ -317,14 +324,14 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 
 	// Events are collected in buf and go out with send.
 	var buf []byte
-	add := func(event string, data []byte, err error) bool {
-		if err != nil {
-			return false
-		}
+	add := func(e E) bool {
 		buf = append(buf, "event: "...)
 		buf = append(buf, event...)
 		buf = append(buf, "\ndata: "...)
-		buf = append(buf, data...)
+		var err error
+		if buf, err = encode(buf, e); err != nil {
+			return false
+		}
 		buf = append(buf, "\n\n"...)
 		return true
 	}
@@ -342,8 +349,7 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 	}
 
 	for _, e := range replay {
-		data, err := encode(e)
-		if !add(event, data, err) {
+		if !add(e) {
 			return
 		}
 	}
@@ -355,8 +361,7 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 		case e, open := <-live:
 		queued:
 			for open {
-				data, err := encode(e)
-				if !add(event, data, err) {
+				if !add(e) {
 					return
 				}
 				select {
@@ -366,7 +371,10 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 				}
 			}
 			if !open {
-				if data, err := json.Marshal(doneView()); add("done", data, err) {
+				var err error
+				buf = append(buf, "event: done\ndata: "...)
+				if buf, err = appendMarshal(buf, doneView()); err == nil {
+					buf = append(buf, "\n\n"...)
 					send()
 				}
 				return

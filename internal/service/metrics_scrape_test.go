@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -156,6 +157,13 @@ func TestMetricsScrape(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
+		}
+	}
+	// The process's memory series, read from the Go runtime at scrape
+	// time: jobs have run, so each is nonzero.
+	for _, series := range []string{"go_gc_heap_live_bytes", "go_gc_heap_allocs_bytes_total", "go_gc_cycles_total"} {
+		if !regexp.MustCompile(`(?m)^` + series + ` [1-9][0-9.e+]*$`).MatchString(body) {
+			t.Errorf("scrape lacks a nonzero %s", series)
 		}
 	}
 	if strings.Contains(body, "popprotod_engine_skip_entries_total 0") ||

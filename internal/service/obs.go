@@ -91,6 +91,10 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		m.sseSubscribers, m.engineRuns, m.engineInteractions,
 		m.engineNsPer, m.hybridModeInteractions, m.hybridHandovers,
 		m.skipEntries, m.skipLength, m.liveStates)
+	// The process's heap, read at scrape time: what the server retains
+	// (cached trajectories and results above all) and how fast it
+	// allocates.
+	reg.MustRegister(obs.RuntimeMemory()...)
 	for _, engine := range pp.EngineNames() {
 		m.engineRuns.With(engine)
 		m.engineInteractions.With(engine)

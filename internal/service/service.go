@@ -33,6 +33,7 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"popproto/internal/cluster"
@@ -119,7 +120,7 @@ const censusCap = 32
 
 // Snapshot is one point of a job's census trajectory, the schema of the
 // trace endpoint's census events. A job records each point once, as a
-// Frame holding its encoding.
+// compact Frame that renders these bytes when it is streamed.
 type Snapshot struct {
 	Step         uint64  `json:"step"`
 	ParallelTime float64 `json:"parallelTime"`
@@ -252,10 +253,13 @@ func (j *Job) View() JobView {
 // Subscribe returns the frames recorded so far plus a channel of
 // subsequent ones; the channel is closed when the job finishes. For a
 // finished job the replay holds the full stored trajectory and the channel
-// is already closed. The returned cancel function stops delivery (it does
-// NOT close the channel — only job completion does); it is safe to call
-// more than once. A consumer that cancels early must stop reading on its
-// own signal, as the HTTP trace handler does via the request context.
+// is already closed. Frames are records, not wire bytes: the consumer
+// renders each with Frame.AppendJSON, on its own goroutine, while the
+// worker goes on recording. The returned cancel function stops delivery
+// (it does NOT close the channel — only job completion does); it is safe
+// to call more than once. A consumer that cancels early must stop reading
+// on its own signal, as the HTTP trace handler does via the request
+// context.
 func (j *Job) Subscribe() (replay []Frame, live <-chan Frame, cancel func()) {
 	live, cancel = j.Run.Subscribe(256, func() {
 		replay = append([]Frame(nil), j.snapshots...)
@@ -280,6 +284,19 @@ func (j *Job) record(frame Frame) {
 			}
 			j.snapshots = kept
 		}
+	})
+}
+
+// settle points every stored frame at the run's final quoted names, of
+// which each frame's own is a prefix, and trims the trajectory to its
+// length: a finished job then retains one name slice, not each one the
+// encoder outgrew, and no spare frames.
+func (j *Job) settle(enc *frameEncoder) {
+	j.Locked(func() {
+		for i := range j.snapshots {
+			j.snapshots[i].names = enc.quoted
+		}
+		j.snapshots = slices.Clone(j.snapshots)
 	})
 }
 
@@ -738,8 +755,9 @@ func (m *Manager) runJob(j *Job) {
 		// jobs and ensemble replicates must advance through the same driver
 		// for replicate 0 of an experiment to be bit-identical to the job.
 		// The observe callback records the initial configuration too, so
-		// every trace has ≥ 2 points. Each snapshot is encoded once, here.
+		// every trace has ≥ 2 points. Each snapshot is recorded once, here.
 		var enc frameEncoder
+		defer j.settle(&enc)
 		observe := func() { j.record(enc.encode(el, censusCap)) }
 		if ensemble.Drive(ctx, el, j.target, j.budget, j.maxSnaps, observe) {
 			m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))

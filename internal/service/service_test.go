@@ -433,7 +433,7 @@ func TestSubscribe(t *testing.T) {
 		t.Error("finished job's live channel not closed")
 	}
 	var last service.Snapshot
-	if err := json.Unmarshal(replay[len(replay)-1].JSON, &last); err != nil {
+	if err := json.Unmarshal(replay[len(replay)-1].AppendJSON(nil), &last); err != nil {
 		t.Fatal(err)
 	}
 	if last.Leaders != 1 {

@@ -9,7 +9,8 @@
 # engine auto) through /v1/sweeps and assert a fitted log-slope comes
 # back, then kill the server, restart it on the same store, and assert
 # the job, the experiment, the sweep and its per-cell results are still
-# served, and scrape /metrics asserting the run and cache series moved.
+# served, and scrape /metrics asserting the run and cache series moved
+# and the Go runtime's memory series are there.
 #
 # Then the store-v2-specific legs: query the durable corpus through
 # GET /v1/results (filters, scaling fit, and the results CLI); kill the
@@ -186,6 +187,13 @@ CACHE_SERVED=$(echo "$METRICS" | awk '/^popprotod_runcore_submissions_total\{/ &
 echo "$METRICS" | grep -q '^popprotod_store_fsync_seconds_count' ||
   { echo "/metrics: store fsync series missing" >&2; exit 1; }
 echo "/metrics: $RUNS_DONE completed runs, $CACHE_SERVED cache-served submissions" >&2
+# The process's memory, read from the Go runtime at scrape time.
+for SERIES in go_gc_heap_live_bytes go_gc_heap_allocs_bytes_total go_gc_cycles_total; do
+  VALUE=$(echo "$METRICS" | awk -v s="$SERIES" '$1 == s { print $2 }')
+  awk -v v="${VALUE:-0}" 'BEGIN { exit !(v + 0 > 0) }' ||
+    { echo "/metrics: $SERIES missing or zero" >&2; exit 1; }
+  echo "/metrics: $SERIES $VALUE" >&2
+done
 
 # --- durability: kill the server, restart on the same store ---
 stop_server
