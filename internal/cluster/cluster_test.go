@@ -181,8 +181,11 @@ func TestWorkerFailureRetries(t *testing.T) {
 	want := baseline(t, spec)
 	before := runtime.NumGoroutine()
 
+	// Workers heartbeat every third of a TTL; under the race detector on
+	// a loaded 2-vCPU host, heartbeats arrived more than 300ms apart. The
+	// test waits out the TTL once, for the victim's lease.
 	c := cluster.NewCoordinator(cluster.Options{
-		LeaseTTL: 300 * time.Millisecond,
+		LeaseTTL: 2 * time.Second,
 		Tick:     20 * time.Millisecond,
 		Logf:     t.Logf,
 	})
@@ -195,13 +198,17 @@ func TestWorkerFailureRetries(t *testing.T) {
 	// TTL can recover it.
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	victimDead := make(chan struct{})
+	leased := make(chan cluster.Lease, 1)
 	victim := &cluster.Worker{
 		Coordinator: srv.URL,
 		ID:          "victim",
 		Workers:     1,
 		Poll:        10 * time.Millisecond,
-		OnLease:     func(cluster.Lease) { killVictim() },
-		Logf:        t.Logf,
+		OnLease: func(l cluster.Lease) {
+			killVictim()
+			leased <- l
+		},
+		Logf: t.Logf,
 	}
 	go func() {
 		defer close(victimDead)
@@ -222,16 +229,32 @@ func TestWorkerFailureRetries(t *testing.T) {
 
 	// Let the victim grab (and die on) the first lease before healthy
 	// workers join, so at least one range must be retried.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.LeaseCounts()["granted"] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("victim never got a lease")
+	var victimLease cluster.Lease
+	select {
+	case victimLease = <-leased:
+	case <-time.After(5 * time.Second):
+		t.Fatal("victim never got a lease")
+	}
+
+	// The coordinator runs ranges itself whenever no worker is live, and
+	// the dead victim stays live for one TTL after its last contact; on a
+	// loaded host the healthy workers' first poll can come later than
+	// that. So the test heartbeats the victim's lease on its behalf until
+	// the healthy workers have completed every other range: they are
+	// live, polling for work, when the lease lapses and is reissued.
+	stop := startWorkers(t, srv.URL, 2, 10*time.Millisecond, nil)
+	others := uint64(len(ensemble.PlanRanges(spec.Replicates)) - 1)
+	for deadline := time.Now().Add(time.Minute); c.LeaseCounts()["completed"] < others; {
+		if !c.Heartbeat(victimLease.ID) {
+			t.Fatal("the victim's lease lapsed while the test kept it alive")
 		}
-		time.Sleep(5 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatal("the healthy workers did not complete the other ranges")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	<-victimDead
 
-	stop := startWorkers(t, srv.URL, 2, 10*time.Millisecond, nil)
 	res := <-resCh
 	got, dist, err := res.agg, res.dist, res.err
 	stop()

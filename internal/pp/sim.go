@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"unsafe"
 
 	"popproto/internal/rng"
 )
@@ -56,6 +57,12 @@ func NewTable[S comparable](proto Protocol[S], n int) *Table[S] {
 		memo:       newRunMemo(n),
 		ids:        make([]uint16, n),
 	}
+}
+
+// Bytes approximates the memory t holds: its transition memo cells and
+// its agent array.
+func (t *Table[S]) Bytes() int {
+	return len(t.memo)*int(unsafe.Sizeof(memoCell{})) + len(t.ids)*int(unsafe.Sizeof(uint16(0)))
 }
 
 // Simulator executes one population under a protocol, one state per

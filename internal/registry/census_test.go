@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -100,5 +101,19 @@ func TestTopCensusMatchesSortedCensus(t *testing.T) {
 	}
 	if !seen.spilled {
 		t.Error("no check met the spilled agent engine")
+	}
+}
+
+// TestQuoteLikeMarshal: census names take encoding/json's string
+// escaping, HTML characters, invalid UTF-8 and line separators included.
+func TestQuoteLikeMarshal(t *testing.T) {
+	for _, s := range []string{"X/L e1 c0", `a"b\c`, "<&>", "tab\there", "bad\xffutf8", "sep\u2028\u2029", "Φ=3"} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := quote(s); got != string(want) {
+			t.Errorf("quote(%q) = %s, want %s", s, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -13,8 +14,9 @@ import (
 // a running protocol without its state type parameter. It mirrors the
 // read-and-run subset of pp.Runner[S], with censuses rendered as strings
 // (each protocol's fmt.Stringer spelling where one exists). Censuses cost
-// O(live states) per call: an election renders each state once per state
-// table, and TopCensus selects the largest entries without sorting the
+// O(live states) per call: an election renders, quotes and ranks each
+// state's name once per state table, and TopCensus and QuotedTopCensus
+// select the largest entries by integer compares without sorting the
 // rest.
 //
 // An election on the agent engine borrows a warm state table, with its
@@ -23,7 +25,8 @@ import (
 // rendering only where no earlier run of that spec already did. Release
 // hands the table back for the next election; an election never released
 // simply keeps its table. Any use of an election after Release panics,
-// and slices it returned (TopCensus) must not be read after it.
+// and the selections it returned (TopCensus, QuotedTopCensus) must not be
+// read after it; the quoted names QuotedTopCensus returns stay valid.
 type Election interface {
 	// Key returns the registry key the election was built from.
 	Key() string
@@ -55,9 +58,18 @@ type Election interface {
 	// TopCensus returns the k most populous entries of Census in
 	// SortedCensus order, and the number of states and agents beyond
 	// them. It costs O(live states) and builds no map: each state is
-	// rendered once per run. The returned slice is reused by the next
-	// call.
+	// rendered once per state table, and the selection compares counts
+	// and name ranks, not strings. The returned slice is reused by the
+	// next call.
 	TopCensus(k int) (top []CensusEntry, omittedStates, omittedAgents int)
+	// QuotedTopCensus selects the same k states as TopCensus, as slots in
+	// the byte order of their names: quoted[top[i].Slot] is the i-th
+	// state's name as encoding/json quotes a string. quoted is a prefix of
+	// a slice that is only ever appended to, shared by every run on the
+	// same state table, so it may be kept and read on any goroutine after
+	// the election has moved on or been released. top is reused by the
+	// next call.
+	QuotedTopCensus(k int) (top []CensusSlot, quoted []string, omittedStates, omittedAgents int)
 	// LiveStates returns the number of distinct states currently present.
 	LiveStates() int
 	// LeaderID returns the id of the first agent whose output is Leader.
@@ -93,23 +105,39 @@ type election[S comparable] struct {
 // censusNames are an election's census renderings: a slot per distinct
 // rendered name, so states whose renderings collide (a protocol whose
 // String drops fields) share one, and slotOf maps a state-table index to
-// its slot plus one (0: not rendered yet). Census walks fill each slot's
-// count and list the filled slots in live; top is TopCensus's result.
-// Keyed by state-table index, they are pooled with the table.
+// its slot plus one (0: not rendered yet). Each slot's name is quoted
+// once into quoted, which is only ever appended to, so the prefix a
+// recorded frame keeps is never written again; byRank lists the slots in
+// the byte order of their names, and each slot holds its rank there, so
+// selection compares integers. Census walks fill each slot's count and
+// list the filled slots in live; kept and top are the selections'
+// results. Keyed by state-table index, they are pooled with the table;
+// a census-engine election keeps its own.
 type censusNames[S comparable] struct {
 	slots   []censusSlot
 	slotOf  []int32
 	byName  map[string]int32
+	quoted  []string
+	byRank  []int32
 	live    []int32
+	kept    []CensusSlot
 	top     []CensusEntry
 	collect func(id int, s S, c int) // adds one state to its slot's count
 }
 
-// censusSlot is one distinct rendering of the census and its count in
-// the current walk.
+// censusSlot is one distinct rendering of the census, its rank in the
+// byte order of the names, and its count in the current walk.
 type censusSlot struct {
 	name  string
+	rank  int32
 	count int
+}
+
+// CensusSlot is one state of a QuotedTopCensus selection: its slot, the
+// index of its quoted name, and its count.
+type CensusSlot struct {
+	Slot  int
+	Count int
 }
 
 // wrap closes over the state type S at registration time: the one generic
@@ -191,45 +219,74 @@ func (e *election[S]) Census() map[string]int {
 	return out
 }
 
-// TopCensus keeps the k best entries of one census walk in a bounded
-// heap whose root is the worst kept entry (built once the first k are
-// in), then sorts those k.
+// TopCensus is the selection of QuotedTopCensus in SortedCensus order.
 func (e *election[S]) TopCensus(k int) (top []CensusEntry, omittedStates, omittedAgents int) {
 	c := e.names
-	c.walk(e.runner())
+	omittedStates, omittedAgents = c.selectTop(e.runner(), k)
+	slices.SortFunc(c.kept, c.compare)
 	top = c.top[:0]
-	for _, i := range c.live {
-		entry := CensusEntry{State: c.slots[i].name, Count: c.slots[i].count}
-		switch {
-		case len(top) < k:
-			if top = append(top, entry); len(top) == k {
-				for j := k/2 - 1; j >= 0; j-- {
-					siftDownWorst(top, j)
-				}
-			}
-			continue
-		case k > 0 && compareCensus(entry, top[0]) < 0:
-			entry, top[0] = top[0], entry
-			siftDownWorst(top, 0)
-		}
-		omittedStates++
-		omittedAgents += entry.Count
+	for _, kept := range c.kept {
+		top = append(top, CensusEntry{State: c.slots[kept.Slot].name, Count: kept.Count})
 	}
-	slices.SortFunc(top, compareCensus)
 	c.top = top
 	return top, omittedStates, omittedAgents
 }
 
+func (e *election[S]) QuotedTopCensus(k int) (top []CensusSlot, quoted []string, omittedStates, omittedAgents int) {
+	c := e.names
+	omittedStates, omittedAgents = c.selectTop(e.runner(), k)
+	slices.SortFunc(c.kept, func(a, b CensusSlot) int {
+		return cmp.Compare(c.slots[a.Slot].rank, c.slots[b.Slot].rank)
+	})
+	return c.kept, c.quoted, omittedStates, omittedAgents
+}
+
+// selectTop walks run's census and keeps the k best slots in c.kept, in
+// a bounded heap whose root is the worst kept slot (built once the first
+// k are in), and returns the number of states and agents beyond them.
+func (c *censusNames[S]) selectTop(run pp.Runner[S], k int) (omittedStates, omittedAgents int) {
+	c.walk(run)
+	kept := c.kept[:0]
+	for _, i := range c.live {
+		slot := CensusSlot{Slot: int(i), Count: c.slots[i].count}
+		switch {
+		case len(kept) < k:
+			if kept = append(kept, slot); len(kept) == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					c.siftDownWorst(kept, j)
+				}
+			}
+			continue
+		case k > 0 && c.compare(slot, kept[0]) < 0:
+			slot, kept[0] = kept[0], slot
+			c.siftDownWorst(kept, 0)
+		}
+		omittedStates++
+		omittedAgents += slot.Count
+	}
+	c.kept = kept
+	return omittedStates, omittedAgents
+}
+
+// compare is SortedCensus's order on slots: negative when a comes first.
+// Names are unique per slot, so their ranks order ties as the names do.
+func (c *censusNames[S]) compare(a, b CensusSlot) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(c.slots[a.Slot].rank, c.slots[b.Slot].rank)
+}
+
 // siftDownWorst moves h[j] down until it ranks at or below its children
 // in SortedCensus order: the heap order under which h[0] is the worst
-// entry of h.
-func siftDownWorst(h []CensusEntry, j int) {
+// slot of h.
+func (c *censusNames[S]) siftDownWorst(h []CensusSlot, j int) {
 	for {
 		worst, l := j, 2*j+1
-		if l < len(h) && compareCensus(h[l], h[worst]) > 0 {
+		if l < len(h) && c.compare(h[l], h[worst]) > 0 {
 			worst = l
 		}
-		if r := l + 1; r < len(h) && compareCensus(h[r], h[worst]) > 0 {
+		if r := l + 1; r < len(h) && c.compare(h[r], h[worst]) > 0 {
 			worst = r
 		}
 		if worst == j {
@@ -268,12 +325,7 @@ func (c *censusNames[S]) slot(id int, s S) int32 {
 	name := fmt.Sprint(s)
 	i, ok := c.byName[name]
 	if !ok {
-		if c.byName == nil {
-			c.byName = make(map[string]int32)
-		}
-		i = int32(len(c.slots))
-		c.slots = append(c.slots, censusSlot{name: name})
-		c.byName[name] = i
+		i = c.add(name)
 	}
 	if id >= 0 {
 		if id >= len(c.slotOf) {
@@ -282,6 +334,35 @@ func (c *censusNames[S]) slot(id int, s S) int32 {
 		c.slotOf[id] = i + 1
 	}
 	return i
+}
+
+// add makes the slot of a name met for the first time: it quotes the
+// name, and binary search finds its rank, renumbering the slots after it.
+func (c *censusNames[S]) add(name string) int32 {
+	if c.byName == nil {
+		c.byName = make(map[string]int32)
+	}
+	i := int32(len(c.slots))
+	at, _ := slices.BinarySearchFunc(c.byRank, name, func(j int32, name string) int {
+		return strings.Compare(c.slots[j].name, name)
+	})
+	c.slots = append(c.slots, censusSlot{name: name})
+	c.byRank = slices.Insert(c.byRank, at, i)
+	for r := at; r < len(c.byRank); r++ {
+		c.slots[c.byRank[r]].rank = int32(r)
+	}
+	c.quoted = append(c.quoted, quote(name))
+	c.byName[name] = i
+	return i
+}
+
+// quote returns name as encoding/json encodes a string.
+func quote(name string) string {
+	data, err := json.Marshal(name)
+	if err != nil {
+		panic(err) // a string always marshals
+	}
+	return string(data)
 }
 
 func (e *election[S]) LiveStates() int { return e.runner().LiveStates() }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"popproto/internal/pp"
 )
@@ -43,12 +44,39 @@ var pool struct {
 
 type idleTable struct {
 	key  poolKey
-	warm any // a *warm[S] of the key's state type S
+	warm pooled
+}
+
+// pooled is a *warm[S] of some state type S.
+type pooled interface {
+	// bytes approximates what the table holds: its transition memo
+	// cells, its agent array and its quoted census names.
+	bytes() int
+}
+
+func (w *warm[S]) bytes() int {
+	n := w.table.Bytes()
+	for _, q := range w.names.quoted {
+		n += int(unsafe.Sizeof(q)) + len(q)
+	}
+	return n
+}
+
+// PoolStats returns the number of idle tables in the pool and the
+// approximate bytes they hold: transition memo cells, agent arrays and
+// quoted census names.
+func PoolStats() (tables, bytes int) {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for _, t := range pool.idle {
+		bytes += t.warm.bytes()
+	}
+	return len(pool.idle), bytes
 }
 
 // borrow takes the most recently returned idle table of key out of the
 // pool, or returns nil if it has none.
-func borrow(key poolKey) any {
+func borrow(key poolKey) pooled {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	for i := len(pool.idle) - 1; i >= 0; i-- {
@@ -62,7 +90,7 @@ func borrow(key poolKey) any {
 }
 
 // giveBack returns an idle table of key to the pool.
-func giveBack(key poolKey, w any) {
+func giveBack(key poolKey, w pooled) {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	if len(pool.idle) == maxIdle {

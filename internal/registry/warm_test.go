@@ -181,6 +181,7 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		"VerifyStable":    func(el Election) { el.VerifyStable(1) },
 		"Census":          func(el Election) { el.Census() },
 		"TopCensus":       func(el Election) { el.TopCensus(1) },
+		"QuotedTopCensus": func(el Election) { el.QuotedTopCensus(1) },
 		"LiveStates":      func(el Election) { el.LiveStates() },
 		"LeaderID":        func(el Election) { el.LeaderID() },
 		"HybridStats":     func(el Election) { el.HybridStats() },

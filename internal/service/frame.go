@@ -2,11 +2,9 @@ package service
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 
 	"popproto/internal/registry"
 )
@@ -17,8 +15,9 @@ import (
 // produces. The record packs the population size, the leader count, the
 // two omitted counts and the census as (name index, count) pairs in the
 // byte order of the names, all as uvarints, in one allocation. The
-// indexes point into names, the prefix of the run's quoted census names
-// that existed when the frame was recorded.
+// indexes point into names, the prefix of the state table's quoted census
+// names that existed when the frame was recorded; every run on that table
+// shares the names, and later runs only append to them.
 type Frame struct {
 	Step   uint64
 	names  []string
@@ -77,61 +76,29 @@ func uvarint(rec []byte) (uint64, []byte) {
 }
 
 // frameEncoder records snapshots as Frames without building a map or
-// reflecting over one. It quotes each census name once per run, as
-// encoding/json quotes a string, into quoted, which it only appends to:
-// a frame keeps the prefix its indexes need, so the frames a subscriber
-// renders on another goroutine never see a later write. index maps a
-// name to its position in quoted and goes with the encoder when the run
-// ends; quoted stays with the job's frames. One encoder serves one run
-// on its worker goroutine; its buffers are reused across frames.
+// reflecting over one: the election selects the census by integer
+// compares and hands over its state table's quoted names, so a frame
+// records slot indexes and counts and keeps the prefix of the names it
+// was recorded with. One encoder serves one run on its worker goroutine;
+// its buffer is reused across frames.
 type frameEncoder struct {
-	index  map[string]uint64
-	quoted []string
-	byName []registry.CensusEntry
-	buf    []byte
+	buf []byte
 }
 
 // encode returns the frame of the election's current configuration,
 // truncated to its k most populous states.
 func (f *frameEncoder) encode(el registry.Election, k int) Frame {
-	top, omittedStates, omittedAgents := el.TopCensus(k)
-	f.byName = append(f.byName[:0], top...)
-	slices.SortFunc(f.byName, func(a, b registry.CensusEntry) int { return strings.Compare(a.State, b.State) })
-
+	top, quoted, omittedStates, omittedAgents := el.QuotedTopCensus(k)
 	b := binary.AppendUvarint(f.buf[:0], uint64(el.N()))
 	b = binary.AppendUvarint(b, uint64(el.Leaders()))
 	b = binary.AppendUvarint(b, uint64(omittedStates))
 	b = binary.AppendUvarint(b, uint64(omittedAgents))
-	for _, e := range f.byName {
-		b = binary.AppendUvarint(b, f.nameIndex(e.State))
+	for _, e := range top {
+		b = binary.AppendUvarint(b, uint64(e.Slot))
 		b = binary.AppendUvarint(b, uint64(e.Count))
 	}
 	f.buf = b
-	return Frame{Step: el.Steps(), names: f.quoted, record: slices.Clone(b)}
-}
-
-// nameIndex returns name's position in quoted, quoting it the first time
-// the run meets it.
-func (f *frameEncoder) nameIndex(name string) uint64 {
-	i, ok := f.index[name]
-	if !ok {
-		if f.index == nil {
-			f.index = make(map[string]uint64)
-		}
-		i = uint64(len(f.quoted))
-		f.quoted = append(f.quoted, quote(name))
-		f.index[name] = i
-	}
-	return i
-}
-
-// quote returns name as encoding/json encodes a string.
-func quote(name string) string {
-	data, err := json.Marshal(name)
-	if err != nil {
-		panic(err) // a string always marshals
-	}
-	return string(data)
+	return Frame{Step: el.Steps(), names: quoted, record: slices.Clone(b)}
 }
 
 // appendJSONFloat appends f as encoding/json encodes a float64: the

@@ -6,7 +6,9 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"popproto/internal/pp"
@@ -58,11 +60,16 @@ func TestFrameMatchesMarshal(t *testing.T) {
 			var enc frameEncoder
 			var frames []Frame
 			var wants [][]byte
+			met := map[string]bool{}
 			for checkpoint := 0; checkpoint < 6; checkpoint++ {
 				if checkpoint > 0 {
 					el.RunSteps(uint64(n)<<(checkpoint-1) + 13) // non-integer parallel times too
 				}
 				frame := enc.encode(el, censusCap)
+				top, _, _ := el.TopCensus(censusCap)
+				for _, e := range top {
+					met[e.State] = true
+				}
 				want := marshalSnapshot(t, el)
 				if got := frame.AppendJSON(nil); string(got) != string(want) {
 					t.Fatalf("%s/%s at step %d:\n got  %s\n want %s",
@@ -85,7 +92,7 @@ func TestFrameMatchesMarshal(t *testing.T) {
 					later.RunSteps(uint64(n) << checkpoint)
 					top, _, _ := later.TopCensus(censusCap)
 					for _, e := range top {
-						if _, ok := enc.index[e.State]; !ok {
+						if !met[e.State] {
 							laterNames++
 						}
 					}
@@ -135,20 +142,6 @@ func TestAppendJSONFloat(t *testing.T) {
 		}
 		if got := appendJSONFloat(nil, f); string(got) != string(want) {
 			t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
-		}
-	}
-}
-
-// TestFrameQuotesLikeMarshal: census keys take encoding/json's string
-// escaping, HTML characters, invalid UTF-8 and line separators included.
-func TestFrameQuotesLikeMarshal(t *testing.T) {
-	for _, s := range []string{"X/L e1 c0", `a"b\c`, "<&>", "tab\there", "bad\xffutf8", "sep\u2028\u2029", "Φ=3"} {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := quote(s); got != string(want) {
-			t.Errorf("quote(%q) = %s, want %s", s, got, want)
 		}
 	}
 }
@@ -248,20 +241,6 @@ func TestStreamWhileRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(data []byte) error {
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return err
-		}
-		total := snap.OmittedAgents
-		for _, c := range snap.Census {
-			total += c
-		}
-		if total != n {
-			return fmt.Errorf("census covers %d agents, want %d: %s", total, n, data)
-		}
-		return nil
-	}
 	const subscribers = 3
 	errs := make(chan error, subscribers+1)
 	grew := make(chan int, subscribers)
@@ -277,7 +256,7 @@ func TestStreamWhileRecording(t *testing.T) {
 					newNames += len(f.names) - names
 				}
 				names = len(f.names)
-				return check(buf)
+				return coversAgents(buf, n)
 			}
 			for _, f := range replay {
 				if err := render(f); err != nil {
@@ -302,20 +281,7 @@ func TestStreamWhileRecording(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			errs <- err
-			return
-		}
-		for _, event := range strings.Split(string(body), "\n\n") {
-			if data, ok := strings.CutPrefix(event, "event: census\ndata: "); ok {
-				if err := check([]byte(data)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}
-		errs <- nil
+		errs <- checkTrace(resp.Body, n)
 	}()
 	for range subscribers + 1 {
 		if err := <-errs; err != nil {
@@ -328,3 +294,179 @@ func TestStreamWhileRecording(t *testing.T) {
 		}
 	}
 }
+
+// coversAgents checks that data parses as a Snapshot whose census,
+// omitted agents included, covers n agents.
+func coversAgents(data []byte, n int) error {
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return err
+	}
+	total := snap.OmittedAgents
+	for _, c := range snap.Census {
+		total += c
+	}
+	if total != n {
+		return fmt.Errorf("census covers %d agents, want %d: %s", total, n, data)
+	}
+	return nil
+}
+
+// checkTrace reads a trace stream to its end and checks every census
+// event with coversAgents.
+func checkTrace(body io.Reader, n int) error {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return err
+	}
+	for _, event := range strings.Split(string(data), "\n\n") {
+		if data, ok := strings.CutPrefix(event, "event: census\ndata: "); ok {
+			if err := coversAgents([]byte(data), n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sharedNamesRuns counts the runs of TestSharedNamesWhileRendering, each
+// of which takes a population size no earlier run in the process used,
+// so that its first job starts on a fresh state table.
+var sharedNamesRuns atomic.Int32
+
+// TestSharedNamesWhileRendering: two jobs of one spec run back to back
+// on one pooled state table. The first is cut short after two units of
+// parallel time, so the second, a whole election, appends names the
+// first never met to the quoted names the first job's frames point
+// into, while a subscriber and the trace endpoint render the first
+// job's frames on their own goroutines. Run it under -race: a frame must never read past
+// the prefix of the shared names it was recorded with, and nothing below
+// that prefix is written again.
+func TestSharedNamesWhileRendering(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	n := 1000 + int(sharedNamesRuns.Add(1))
+	spec := JobSpec{Protocol: "pll", N: n, Engine: "agent", Seed: 1, MaxParallelTime: 2}
+	first, _, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first.Done()
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() { // a subscriber rendering the first job's frames over and over
+		replay, _, cancel := first.Subscribe()
+		defer cancel()
+		var buf []byte
+		for {
+			for _, f := range replay {
+				buf = f.AppendJSON(buf[:0])
+				if err := coversAgents(buf, n); err != nil {
+					errs <- err
+					return
+				}
+			}
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+		}
+	}()
+	go func() { // the trace endpoint replaying the first job, over and over
+		for {
+			resp, err := srv.Client().Get(srv.URL + "/v1/jobs/" + first.ID + "/trace")
+			if err != nil {
+				errs <- err
+				return
+			}
+			err = checkTrace(resp.Body, n)
+			resp.Body.Close()
+			if err != nil {
+				errs <- err
+				return
+			}
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+		}
+	}()
+
+	// The first job handed its table back before it was done, so the
+	// second, of the same spec, borrows it.
+	spec.MaxParallelTime = 0
+	second, _, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-second.Done()
+	close(stop)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	longest := func(j *Job) []string {
+		replay, _, cancel := j.Subscribe()
+		defer cancel()
+		var names []string
+		for _, f := range replay {
+			if len(f.names) > len(names) {
+				names = f.names
+			}
+		}
+		return names
+	}
+	firstNames, secondNames := longest(first), longest(second)
+	if len(secondNames) <= len(firstNames) {
+		t.Fatalf("the second job's frames name %d states, the first's %d: it met no new name",
+			len(secondNames), len(firstNames))
+	}
+	if !slices.Equal(secondNames[:len(firstNames)], firstNames) {
+		t.Fatal("the second job's names do not extend the first's: it did not run on the first job's table")
+	}
+}
+
+// BenchmarkFrameEncode times recording one frame — TopCensus's selection
+// plus the encode — on a warm run: PLL's O(log n) states on the agent
+// engine and at n = 10⁵ on the hybrid engine, MaxID's hundreds of live
+// identifiers on the count engine, and a spilled MaxID agent run, whose
+// states carry no table index and are rendered on every call.
+func BenchmarkFrameEncode(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		spec registry.Spec
+	}{
+		{"pll-agent-1000", registry.Spec{Protocol: "pll", N: 1000, Engine: pp.EngineAgent, Seed: 1}},
+		{"pll-hybrid-100000", registry.Spec{Protocol: "pll", N: 100_000, Engine: pp.EngineHybrid, Seed: 1}},
+		{"maxid-count-2000", registry.Spec{Protocol: "maxid", N: 2000, Engine: pp.EngineCount, Seed: 1}},
+		{"maxid-agent-2000-spilled", registry.Spec{Protocol: "maxid", N: 2000, Engine: pp.EngineAgent, Seed: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			el, err := registry.New(bc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer el.Release()
+			el.RunSteps(3 * uint64(bc.spec.N))
+			var enc frameEncoder
+			enc.encode(el, censusCap)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchFrame = enc.encode(el, censusCap)
+			}
+		})
+	}
+}
+
+// benchFrame keeps BenchmarkFrameEncode's frames live.
+var benchFrame Frame

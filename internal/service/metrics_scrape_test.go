@@ -32,7 +32,8 @@ func TestMetricsScrape(t *testing.T) {
 	t.Cleanup(func() { m.Close(); st.Close() })
 	h := service.NewHandler(m)
 
-	spec := `{"protocol": "pll", "n": 200, "seed": 7}`
+	// On the agent engine, so the job hands its table to the pool.
+	spec := `{"protocol": "pll", "n": 200, "engine": "agent", "seed": 7}`
 	var sub submitResp
 	do(t, h, "POST", "/v1/jobs", spec, http.StatusAccepted, &sub)
 	deadline := time.Now().Add(60 * time.Second)
@@ -134,8 +135,10 @@ func TestMetricsScrape(t *testing.T) {
 		// 3 stored results: the two jobs plus the distributed experiment.
 		`popprotod_store_fsync_seconds_count 3`,
 		`popprotod_store_records 3`,
-		// 2 count-engine runs: the PLL job and the distributed experiment.
-		`popprotod_engine_runs_total{engine="count"} 2`,
+		// The PLL job ran on the agent engine, the distributed experiment
+		// on the count engine.
+		`popprotod_engine_runs_total{engine="agent"} 1`,
+		`popprotod_engine_runs_total{engine="count"} 1`,
 		`popprotod_engine_runs_total{engine="hybrid"} 1`,
 		// At stabilization the Angluin census is one leader plus one
 		// follower state, so the hybrid run publishes live = 2; exactly
@@ -162,6 +165,13 @@ func TestMetricsScrape(t *testing.T) {
 	// The process's memory series, read from the Go runtime at scrape
 	// time: jobs have run, so each is nonzero.
 	for _, series := range []string{"go_gc_heap_live_bytes", "go_gc_heap_allocs_bytes_total", "go_gc_cycles_total"} {
+		if !regexp.MustCompile(`(?m)^` + series + ` [1-9][0-9.e+]*$`).MatchString(body) {
+			t.Errorf("scrape lacks a nonzero %s", series)
+		}
+	}
+	// The pool, read at scrape time: the agent-engine job handed its
+	// table back.
+	for _, series := range []string{"popprotod_pool_tables", "popprotod_pool_bytes"} {
 		if !regexp.MustCompile(`(?m)^` + series + ` [1-9][0-9.e+]*$`).MatchString(body) {
 			t.Errorf("scrape lacks a nonzero %s", series)
 		}

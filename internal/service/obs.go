@@ -6,6 +6,7 @@ import (
 
 	"popproto/internal/obs"
 	"popproto/internal/pp"
+	"popproto/internal/registry"
 )
 
 // serviceMetrics is the manager's instrument set: HTTP front-door
@@ -95,6 +96,15 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	// (cached trajectories and results above all) and how fast it
 	// allocates.
 	reg.MustRegister(obs.RuntimeMemory()...)
+	// The registry's pool of warm agent-engine tables, read at scrape
+	// time: what the server keeps besides its cached runs.
+	reg.MustRegister(
+		obs.NewGaugeFunc("popprotod_pool_tables",
+			"Idle warm agent-engine state tables in the registry's pool.",
+			func() float64 { tables, _ := registry.PoolStats(); return float64(tables) }),
+		obs.NewGaugeFunc("popprotod_pool_bytes",
+			"Approximate bytes the pool's idle tables hold: transition memo cells, agent arrays and quoted census names.",
+			func() float64 { _, bytes := registry.PoolStats(); return float64(bytes) }))
 	for _, engine := range pp.EngineNames() {
 		m.engineRuns.With(engine)
 		m.engineInteractions.With(engine)

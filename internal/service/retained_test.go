@@ -85,6 +85,7 @@ func TestRetainedHeapPerFrame(t *testing.T) {
 }
 
 // retainedPerFrame is the bound of TestRetainedHeapPerFrame: it measured
-// 332 bytes per frame on linux/amd64 with Go 1.24, and 1,003 when each
-// frame kept its rendered JSON.
-const retainedPerFrame = 400
+// 199 bytes per frame on linux/amd64 with Go 1.24, 332 when each job
+// quoted its own copy of the census names, and 1,003 when each frame
+// kept its rendered JSON.
+const retainedPerFrame = 240

@@ -287,17 +287,11 @@ func (j *Job) record(frame Frame) {
 	})
 }
 
-// settle points every stored frame at the run's final quoted names, of
-// which each frame's own is a prefix, and trims the trajectory to its
-// length: a finished job then retains one name slice, not each one the
-// encoder outgrew, and no spare frames.
-func (j *Job) settle(enc *frameEncoder) {
-	j.Locked(func() {
-		for i := range j.snapshots {
-			j.snapshots[i].names = enc.quoted
-		}
-		j.snapshots = slices.Clone(j.snapshots)
-	})
+// settle trims the trajectory to its length, so a finished job retains
+// no spare frames. Each frame already shares its state table's quoted
+// names.
+func (j *Job) settle() {
+	j.Locked(func() { j.snapshots = slices.Clone(j.snapshots) })
 }
 
 func (j *Job) snapshotCount() int {
@@ -757,7 +751,7 @@ func (m *Manager) runJob(j *Job) {
 		// The observe callback records the initial configuration too, so
 		// every trace has ≥ 2 points. Each snapshot is recorded once, here.
 		var enc frameEncoder
-		defer j.settle(&enc)
+		defer j.settle()
 		observe := func() { j.record(enc.encode(el, censusCap)) }
 		if ensemble.Drive(ctx, el, j.target, j.budget, j.maxSnaps, observe) {
 			m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))

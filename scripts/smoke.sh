@@ -187,8 +187,11 @@ CACHE_SERVED=$(echo "$METRICS" | awk '/^popprotod_runcore_submissions_total\{/ &
 echo "$METRICS" | grep -q '^popprotod_store_fsync_seconds_count' ||
   { echo "/metrics: store fsync series missing" >&2; exit 1; }
 echo "/metrics: $RUNS_DONE completed runs, $CACHE_SERVED cache-served submissions" >&2
-# The process's memory, read from the Go runtime at scrape time.
-for SERIES in go_gc_heap_live_bytes go_gc_heap_allocs_bytes_total go_gc_cycles_total; do
+# The process's memory, read from the Go runtime at scrape time, and the
+# registry's pool of warm tables, which the sweep's agent-engine cells
+# handed their tables to.
+for SERIES in go_gc_heap_live_bytes go_gc_heap_allocs_bytes_total go_gc_cycles_total \
+  popprotod_pool_tables popprotod_pool_bytes; do
   VALUE=$(echo "$METRICS" | awk -v s="$SERIES" '$1 == s { print $2 }')
   awk -v v="${VALUE:-0}" 'BEGIN { exit !(v + 0 > 0) }' ||
     { echo "/metrics: $SERIES missing or zero" >&2; exit 1; }
